@@ -21,7 +21,7 @@ from .dbqt import (
     plan_phases,
     vandermonde,
 )
-from .field import P, ColumnBasis, combine_columns, inv_mod, nonsingular_mod, rank_mod
+from .field import P, ColumnBasis, inv_mod, nonsingular_mod, rank_mod
 from .formats import (
     FORMAT_VERSION,
     dumps_document,
@@ -72,6 +72,7 @@ from .sim import (
     materialize_payloads,
     naive_schedule,
     run_schedule,
+    simulate,
     uncoded_broadcast,
     verify_payload_run,
 )
@@ -108,7 +109,6 @@ __all__ = [
     "ValidationReport",
     "WalkKind",
     "add_cycle_edges",
-    "combine_columns",
     "dbqt_general",
     "dbqt_schedule",
     "decodable_with",
@@ -137,6 +137,7 @@ __all__ = [
     "read_instance",
     "run_experiment",
     "run_schedule",
+    "simulate",
     "spanning_quasi_tree",
     "transcript_document",
     "uncoded_broadcast",

@@ -93,7 +93,6 @@ def cmd_gen(args) -> int:
         num_users=args.users,
         num_segments=args.segments - args.extra_edges,
         max_edge_size=args.max_edge_size,
-        extra_edges=args.extra_edges,
         seed=args.seed,
     )
     _topo, h, placement = random_quasi_tree(cfg)
@@ -109,7 +108,6 @@ def cmd_gen(args) -> int:
     }
     _emit(dumps_instance(topology, metadata), args.out)
     return 0
-
 
 
 def _classification(topology: StorageTopology):
@@ -154,6 +152,8 @@ def cmd_run(args) -> int:
     topology, _metadata = read_instance(args.infile)
     h, leftovers, connected, quasi_tree = _classification(topology)
     plan_doc = None
+    transcript = None
+    track_edges = args.transcript is not None
     extra: dict = {}
     if args.strategy == "dbqt":
         try:
@@ -165,7 +165,8 @@ def cmd_run(args) -> int:
         schedule = list(plan.schedule)
         plan_doc = plan_document(plan)
     elif args.strategy == "dbqt-general":
-        result, schedule = dbqt_general(topology)
+        result, transcript = dbqt_general(topology, track_edges=track_edges)
+        schedule = transcript.schedule
         extra.update(
             {
                 "dbqt_broadcasts": result.dbqt_broadcasts,
@@ -179,7 +180,8 @@ def cmd_run(args) -> int:
         extra["min_cut"] = cut.capacity
         extra["lower_bound"] = h.total_weight - cut.capacity
         extra["min_degree_lower_bound"] = min_degree_bound(h)
-    transcript = run_schedule(topology, schedule, track_edges=args.transcript is not None)
+    if transcript is None:
+        transcript = run_schedule(topology, schedule, track_edges=track_edges)
     payload_ok = None
     if args.payload_check:
         store = materialize_payloads(topology, seed=0)

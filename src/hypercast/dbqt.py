@@ -230,29 +230,24 @@ def plan_phases(
 def phase_schedule(topology: StorageTopology, phases: Sequence[PhasePlan]) -> list[Broadcast]:
     """Flatten phases into consecutive broadcast slots.
 
-    Each user appends one column per slot, so the sender's combination
-    at global slot t covers its stored columns followed by t received
-    columns (all zero there: blocks are drawn from its own storage).
+    Slot tau of a phase sends column tau of its coding matrix, placed on
+    the block's segments; blocks are drawn from the representative's own
+    storage, so it can always form the combination.
     """
     out: list[Broadcast] = []
     W = topology.num_segments
     t = 0
     for ph in phases:
-        stored = sorted(topology.holding(ph.representative))
-        pos = {w: idx for idx, w in enumerate(stored)}
-        if any(w not in pos for w in ph.block):
+        if not set(ph.block) <= topology.holding(ph.representative):
             raise PlanError(
                 f"phase {ph.index}: block contains segments user "
                 f"{ph.representative} does not store"
             )
         for tau in range(ph.broadcast_count):
-            combo = [0] * (len(stored) + t)
-            resolved = [0] * W
+            coefficients = [0] * W
             for k, w in enumerate(ph.block):
-                coeff = ph.coding_matrix[k][tau]
-                combo[pos[w]] = coeff
-                resolved[w - 1] = coeff
-            out.append(Broadcast(t, ph.representative, tuple(combo), tuple(resolved)))
+                coefficients[w - 1] = ph.coding_matrix[k][tau]
+            out.append(Broadcast(t, ph.representative, tuple(coefficients)))
             t += 1
     return out
 

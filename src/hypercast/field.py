@@ -1,12 +1,13 @@
 """Exact linear algebra over the prime field GF(2**31 - 1).
 
-All vectors and matrices hold plain integers in [0, P).  Arithmetic uses
-int64 numpy arrays; a single product of two reduced values stays below
-2**62, so every elementary step fits in int64 before the modular reduce.
+All vectors and matrices hold plain integers in [0, P).  Dense arithmetic
+uses int64 numpy arrays; a single product of two reduced values stays
+below 2**62, so every elementary step fits in int64 before the modular
+reduce.  ColumnBasis keeps sparse rows as Python dicts.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -15,10 +16,7 @@ P = 2_147_483_647  # prime 2**31 - 1
 __all__ = [
     "P",
     "inv_mod",
-    "make_vector",
     "unit_vector",
-    "combine_columns",
-    "combine_sparse",
     "rank_mod",
     "nonsingular_mod",
     "ColumnBasis",
@@ -33,10 +31,6 @@ def inv_mod(a: int) -> int:
     return pow(a, -1, P)
 
 
-def make_vector(values: Iterable[int]) -> np.ndarray:
-    return np.asarray(list(values), dtype=np.int64) % P
-
-
 def unit_vector(dim: int, row: int) -> np.ndarray:
     """Vector with a single 1 at 0-based position `row`."""
     if not 0 <= row < dim:
@@ -44,28 +38,6 @@ def unit_vector(dim: int, row: int) -> np.ndarray:
     v = np.zeros(dim, dtype=np.int64)
     v[row] = 1
     return v
-
-
-def combine_columns(columns: Sequence[np.ndarray], coeffs: Sequence[int], dim: int) -> np.ndarray:
-    """Return sum_j coeffs[j] * columns[j] mod P."""
-    if len(columns) != len(coeffs):
-        raise ValueError(f"combination length {len(coeffs)} != column count {len(columns)}")
-    acc = np.zeros(dim, dtype=np.int64)
-    for c, col in zip(coeffs, columns):
-        c = int(c) % P
-        if c:
-            acc = (acc + c * col) % P
-    return acc
-
-
-def combine_sparse(columns: Sequence[np.ndarray], expr: Mapping[int, int], dim: int) -> np.ndarray:
-    """Like combine_columns but with a sparse {index: coeff} combination."""
-    acc = np.zeros(dim, dtype=np.int64)
-    for idx in sorted(expr):
-        c = int(expr[idx]) % P
-        if c:
-            acc = (acc + c * columns[idx]) % P
-    return acc
 
 
 def rank_mod(matrix) -> int:
@@ -107,93 +79,77 @@ def nonsingular_mod(matrix) -> bool:
     return n == 0 or rank_mod(m) == n
 
 
-class ColumnBasis:
-    """Incrementally reduced column basis over GF(P) with provenance.
 
-    The basis is kept fully reduced (each pivot row is zero in every
-    other basis vector, pivots are the first nonzero row of their
-    vector), so the unit vectors inside the span are exactly the
-    one-hot basis vectors.  Every basis vector also carries its
-    expression over the raw columns inserted so far, which lets
-    ``solve`` recover an explicit combination for any member of the
-    span.
+
+class ColumnBasis:
+    """Incrementally, fully reduced sparse basis over GF(P).
+
+    Each row is 1 at its pivot and 0 at every other pivot; ``rows`` maps
+    the pivot to the row's other entries, a {coordinate: coeff} map
+    without zeros.  In such a basis the unit vector e_w lies in the span
+    iff w is a pivot whose row is one-hot (no other entries), so
+    ``units`` lists exactly the coordinates the span has resolved, in
+    the order they appeared.  In payload mode every row also carries a
+    payload vector, and each row operation is mirrored on it.
     """
 
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be >= 0")
-        self.dim = dim
-        self._vecs: list[np.ndarray] = []
-        self._pivots: list[int] = []
-        self._exprs: list[dict[int, int]] = []
-        self._units: frozenset[int] | None = frozenset()
+    __slots__ = ("rows", "payloads", "units")
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.payloads: dict[int, np.ndarray] = {}
+        self.units: list[int] = []
 
     @property
     def rank(self) -> int:
-        return len(self._vecs)
+        return len(self.rows)
 
-    def _reduce(self, vec: np.ndarray, expr: dict[int, int]):
-        v = vec % P
-        e = dict(expr)
-        for b, p, bx in zip(self._vecs, self._pivots, self._exprs):
-            c = int(v[p])
-            if c:
-                v = (v - c * b) % P
-                for k, val in bx.items():
-                    e[k] = (e.get(k, 0) - c * val) % P
-        return v, e
+    def reduce(self, vec: Mapping[int, int], payload: np.ndarray | None = None):
+        """Subtract from `vec` (entries in [1, P)) its pivot entries times
+        their rows; returns (residual, payload reduced alike).  The
+        residual is empty iff `vec` lies in the span."""
+        rows, payloads = self.rows, self.payloads
+        out = dict(vec)
+        for p in [k for k in vec if k in rows]:
+            # no row has an entry at a pivot, so out[p] is still vec[p]
+            a = out.pop(p)
+            for k, x in rows[p].items():
+                out[k] = (out.get(k, 0) - a * x) % P
+            if payload is not None:
+                payload = (payload - a * payloads[p]) % P
+        return {k: x for k, x in out.items() if x}, payload
 
-    def insert(self, column: np.ndarray, tag: int) -> bool:
-        """Insert a raw column identified by `tag`; True iff rank grew."""
-        col = np.asarray(column, dtype=np.int64)
-        if col.shape != (self.dim,):
-            raise ValueError(f"column has shape {col.shape}, expected ({self.dim},)")
-        v, e = self._reduce(col, {tag: 1})
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+    def contains(self, vec: Mapping[int, int]) -> bool:
+        return not self.reduce(vec)[0]
+
+    def insert(self, vec: Mapping[int, int], payload: np.ndarray | None = None) -> bool:
+        """Add `vec` (and its payload) to the span; True iff rank grew."""
+        v, y = self.reduce(vec, payload)
+        if not v:
             return False
-        pivot = int(nz[0])
-        iv = inv_mod(int(v[pivot]))
-        v = (v * iv) % P
-        e = {k: (val * iv) % P for k, val in e.items() if val % P}
-        for i, b in enumerate(self._vecs):
-            c = int(b[pivot])
-            if c:
-                self._vecs[i] = (b - c * v) % P
-                bx = self._exprs[i]
-                for k, val in e.items():
-                    bx[k] = (bx.get(k, 0) - c * val) % P
-        self._vecs.append(v)
-        self._pivots.append(pivot)
-        self._exprs.append(e)
-        self._units = None
+        q = min(v)
+        inv = inv_mod(v.pop(q))
+        row = {k: x * inv % P for k, x in v.items()}
+        if y is not None:
+            y = y * inv % P
+        payloads, units = self.payloads, self.units
+        for p, r in self.rows.items():
+            a = r.pop(q, 0)
+            if not a:
+                continue
+            for k, x in row.items():
+                c = (r.get(k, 0) - a * x) % P
+                if c:
+                    r[k] = c
+                else:
+                    del r[k]
+            if y is not None:
+                payloads[p] = (payloads[p] - a * y) % P
+            if not r:
+                units.append(p)
+        self.rows[q] = row
+        if y is not None:
+            payloads[q] = y
+        if not row:
+            units.append(q)
         return True
-
-    def solve(self, target) -> dict[int, int] | None:
-        """Sparse combination of raw columns equal to `target`, or None."""
-        v = np.asarray(target, dtype=np.int64) % P
-        if v.shape != (self.dim,):
-            raise ValueError(f"target has shape {v.shape}, expected ({self.dim},)")
-        x: dict[int, int] = {}
-        for b, p, bx in zip(self._vecs, self._pivots, self._exprs):
-            c = int(v[p])
-            if c:
-                v = (v - c * b) % P
-                for k, val in bx.items():
-                    x[k] = (x.get(k, 0) + c * val) % P
-        if np.any(v):
-            return None
-        return {k: val for k, val in x.items() if val}
-
-    def contains(self, target) -> bool:
-        return self.solve(target) is not None
-
-    def unit_rows(self) -> frozenset[int]:
-        """0-based rows r with the unit vector e_r inside the span."""
-        if self._units is None:
-            self._units = frozenset(
-                self._pivots[i]
-                for i, v in enumerate(self._vecs)
-                if np.count_nonzero(v) == 1
-            )
-        return self._units

@@ -60,6 +60,13 @@ def dumps_instance(topology: StorageTopology, metadata: Mapping | None = None) -
     return dumps_document(instance_document(topology, metadata))
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; floats and strings are refused, not coerced
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_instance(doc) -> tuple[StorageTopology, dict]:
     """Validate a parsed instance document; returns (topology, metadata)."""
     if not isinstance(doc, dict):
@@ -68,10 +75,10 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     try:
-        num_users = int(doc["num_users"])
-        num_segments = int(doc["num_segments"])
+        num_users = _integer(doc["num_users"], "num_users")
+        num_segments = _integer(doc["num_segments"], "num_segments")
         users = doc["users"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
     if not isinstance(users, list):
         raise ValueError("users must be a list")
@@ -79,15 +86,17 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
     for entry in users:
         if not isinstance(entry, dict) or "id" not in entry or "segments" not in entry:
             raise ValueError(f"malformed user entry: {entry!r}")
-        uid = int(entry["id"])
+        uid = _integer(entry["id"], "user id")
         if uid in holdings:
             raise ValueError(f"duplicate user id {uid}")
-        holdings[uid] = [int(w) for w in entry["segments"]]
+        if not isinstance(entry["segments"], list):
+            raise ValueError(f"user {uid}: segments must be a list")
+        holdings[uid] = [_integer(w, f"user {uid} segment id") for w in entry["segments"]]
     if sorted(holdings) != list(range(1, num_users + 1)):
         raise ValueError(f"user ids must be exactly 1..{num_users}")
     payload_length = doc.get("payload_length")
     if payload_length is not None:
-        payload_length = int(payload_length)
+        payload_length = _integer(payload_length, "payload_length")
     topology = StorageTopology(num_segments, holdings, payload_length)
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
@@ -136,7 +145,7 @@ def plan_document(plan: QuasiTreePlan) -> dict:
             {
                 "slot": b.slot,
                 "sender": b.sender,
-                "coefficients": list(b.resolved) if b.resolved is not None else None,
+                "coefficients": list(b.coefficients),
             }
             for b in plan.schedule
         ],

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from .dbqt import ordered_representatives, phase_schedule, plan_phases
 from .generators import GenConfig, add_cycle_edges, derive_seed, random_quasi_tree
 from .hypergraph import Edge, Hypergraph
-from .sim import Broadcast, apply_broadcast, is_complete, naive_schedule, run_schedule, uncoded_broadcast
+from .sim import Transcript, naive_schedule, run_schedule
 from .topology import StorageTopology, from_hypergraph
 
 __all__ = [
@@ -80,25 +80,27 @@ def min_degree_bound(h: Hypergraph) -> int:
 
 
 def dbqt_general(
-    topology: StorageTopology, vertex_order: Sequence[int] | None = None
-) -> tuple[GeneralRunResult, list[Broadcast]]:
+    topology: StorageTopology,
+    vertex_order: Sequence[int] | None = None,
+    track_edges: bool = False,
+) -> tuple[GeneralRunResult, Transcript]:
     """Plan and verify a schedule for an arbitrary topology.
 
     Disconnected models fall back to one uncoded broadcast per segment.
     Connected models run the quasi-tree planner on a spanning reduction
     (blocks drawn from full storage), then sweep still-missing segments
-    uncoded.  The simulated run must complete; the result satisfies
+    uncoded in the same simulated run, whose transcript (with the
+    schedule) is returned.  The run must complete; the result satisfies
     lower_bound <= total <= W.
     """
     W = topology.num_segments
     if topology.num_users == 1 or W == 0:
-        return GeneralRunResult(0, 0, 0, 0), []
+        return GeneralRunResult(0, 0, 0, 0), run_schedule(topology, [], track_edges)
     h, placement, _leftovers = topology.to_hypergraph()
     if not h.is_connected():
-        schedule = naive_schedule(topology)
-        transcript = run_schedule(topology, schedule)
+        transcript = run_schedule(topology, naive_schedule(topology), track_edges)
         assert transcript.complete
-        return GeneralRunResult(W, 0, W, h.total_weight), schedule
+        return GeneralRunResult(W, 0, W, h.total_weight), transcript
 
     reduction = spanning_quasi_tree(h)
     kept_placement = {vs: placement[vs] for vs in reduction.kept.edge_sets}
@@ -107,22 +109,15 @@ def dbqt_general(
         topology, reduction.kept, kept_placement, reps, reduction.delta_kept, vertex_order
     )
     coded = phase_schedule(topology, phases)
-    transcript = run_schedule(topology, coded)
-    states = transcript.final_states
-    known_by_all = frozenset.intersection(*(s.decoded for s in states))
-    missing = [w for w in range(1, W + 1) if w not in known_by_all]
-    schedule = list(coded)
-    for w in missing:
-        b = uncoded_broadcast(topology, states, len(schedule), w)
-        apply_broadcast(states, b)
-        schedule.append(b)
-    if not is_complete(states):
+    transcript = run_schedule(topology, coded, track_edges, completion=True)
+    if not transcript.complete:
         raise RuntimeError("schedule failed to complete; planner invariant broken")
     delta = h.min_cut(method="exhaustive").capacity
     lower = h.total_weight - delta
-    result = GeneralRunResult(len(schedule), len(coded), len(missing), lower)
+    total = transcript.num_broadcasts
+    result = GeneralRunResult(total, len(coded), total - len(coded), lower)
     assert result.lower_bound <= result.total_broadcasts <= W
-    return result, schedule
+    return result, transcript
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the general planner over a seeded grid and aggregate rows."""
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for V, W, _trial, topology in iter_experiment_instances(config):
-        result, _schedule = dbqt_general(topology)
+        result, _transcript = dbqt_general(topology)
         buckets.setdefault((V, W), []).append(
             (result.total_broadcasts, result.lower_bound)
         )

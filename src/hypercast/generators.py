@@ -47,7 +47,6 @@ class GenConfig:
     num_users: int
     num_segments: int
     max_edge_size: int = 3
-    extra_edges: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class GenConfig:
             )
         if self.num_segments < 1:
             raise ValueError(f"need at least 1 segment, got {self.num_segments}")
-        if self.extra_edges < 0:
-            raise ValueError(f"extra_edges must be >= 0, got {self.extra_edges}")
 
 
 def _grow_skeleton(rng: random.Random, num_users: int, max_size: int) -> list[frozenset[int]]:

@@ -102,6 +102,15 @@ def test_analyze_missing_file_exits_2(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_coerced_instance_field_exits_2(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "tree-instance.json").read_text())
+    doc["num_users"] = 6.0
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 2 and "num_users must be an integer" in err
+
+
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
     tr_path = tmp_path / "tr.json"

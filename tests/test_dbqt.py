@@ -158,12 +158,9 @@ def test_phase_schedule_combination_layout(tree_topology, tree_h):
     schedule = phase_schedule(tree_topology, phases)
     assert [b.slot for b in schedule] == [0, 1, 2]
     assert [b.sender for b in schedule] == [3, 5, 4]
-    assert schedule[0].combo == (1, 1)
-    assert schedule[0].resolved == (0, 1, 1, 0)
-    assert schedule[1].combo == (1, 1, 0)
-    assert schedule[1].resolved == (0, 0, 1, 1)
-    assert schedule[2].combo == (1, 1, 0, 0)
-    assert schedule[2].resolved == (1, 0, 0, 1)
+    assert schedule[0].coefficients == (0, 1, 1, 0)
+    assert schedule[1].coefficients == (0, 0, 1, 1)
+    assert schedule[2].coefficients == (1, 0, 0, 1)
 
 
 def test_dbqt_schedule_tree_example(tree_topology):

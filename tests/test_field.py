@@ -16,12 +16,13 @@ import pytest
 from hypercast import (
     P,
     ColumnBasis,
-    combine_columns,
+    StorageTopology,
     inv_mod,
     nonsingular_mod,
     rank_mod,
 )
-from hypercast.field import combine_sparse, make_vector, unit_vector
+from hypercast.field import unit_vector
+from hypercast.sim import SegmentStore, materialize_payloads
 
 
 def rank_over_rationals(matrix) -> int:
@@ -66,8 +67,6 @@ def test_inverse_round_trip():
 
 
 def test_vector_helpers():
-    v = make_vector([0, 1, P, P + 5, -1])
-    assert v.tolist() == [0, 1, 0, 5, P - 1]
     e = unit_vector(4, 2)
     assert e.tolist() == [0, 0, 1, 0]
     with pytest.raises(ValueError):
@@ -75,24 +74,25 @@ def test_vector_helpers():
 
 
 def test_combine_columns_hand_values():
-    cols = [make_vector([1, 0]), make_vector([0, 1]), make_vector([1, 1])]
-    got = combine_columns(cols, [2, 3, 0], 2)
-    assert got.tolist() == [2, 3]
+    """SegmentStore.combine sums coefficient multiples of store columns."""
+    topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1}})
+    store = SegmentStore(topo, np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]]))
+    assert store.combine({1: 2, 2: 3}).tolist() == [2, 3, 0, 0]
     # coefficient P-1 acts as -1
-    got = combine_columns(cols[:2], [P - 1, 1], 2)
-    assert got.tolist() == [P - 1, 1]
-    with pytest.raises(ValueError):
-        combine_columns(cols, [1, 2], 2)
+    assert store.combine({1: P - 1, 2: 1}).tolist() == [P - 1, 1, 0, 0]
+    assert store.combine({}).tolist() == [0, 0, 0, 0]
 
 
 def test_combine_sparse_matches_dense():
     rng = random.Random(7)
-    cols = [make_vector(rng.randrange(P) for _ in range(6)) for _ in range(5)]
-    expr = {0: 3, 2: P - 1, 4: 12345}
-    dense = [expr.get(j, 0) for j in range(5)]
-    a = combine_sparse(cols, expr, 6)
-    b = combine_columns(cols, dense, 6)
-    assert a.tolist() == b.tolist()
+    store = materialize_payloads(StorageTopology(4, {1: {1, 2}, 2: {3, 4}}), seed=7)
+    for _ in range(20):
+        coeffs = {w: rng.randrange(1, P) for w in range(1, 5) if rng.random() < 0.6}
+        dense = [coeffs.get(w, 0) for w in range(1, 5)]
+        expect = [
+            sum(int(x) * c for x, c in zip(row, dense)) % P for row in store.matrix.tolist()
+        ]
+        assert store.combine(coeffs).tolist() == expect
 
 
 def test_rank_known_constructions():
@@ -127,13 +127,22 @@ def test_nonsingular_mod():
         nonsingular_mod([[1, 2, 3]])
 
 
+def sparse(values) -> dict[int, int]:
+    """{index: value mod P} of the nonzero entries of a dense vector."""
+    return {i: int(x) % P for i, x in enumerate(values) if int(x) % P}
+
+
+def dense(vec: dict[int, int], dim: int) -> list[int]:
+    return [vec.get(i, 0) for i in range(dim)]
+
+
 def test_basis_insert_and_rank():
-    basis = ColumnBasis(3)
+    basis = ColumnBasis()
     assert basis.rank == 0
-    assert basis.insert(make_vector([1, 1, 0]), tag=0)
-    assert basis.insert(make_vector([0, 1, 1]), tag=1)
+    assert basis.insert(sparse([1, 1, 0]))
+    assert basis.insert(sparse([0, 1, 1]))
     # dependent column: sum of the first two
-    assert not basis.insert(make_vector([1, 2, 1]), tag=2)
+    assert not basis.insert(sparse([1, 2, 1]))
     assert basis.rank == 2
 
 
@@ -141,58 +150,81 @@ def test_basis_membership_matches_rank_oracle():
     rng = random.Random(9)
     for _ in range(100):
         dim = rng.randint(1, 7)
-        basis = ColumnBasis(dim)
+        basis = ColumnBasis()
         raw = []
-        for tag in range(rng.randint(0, 7)):
-            col = make_vector(rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(dim))
+        for _tag in range(rng.randint(0, 7)):
+            col = [rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(dim)]
             raw.append(col)
-            basis.insert(col, tag)
+            basis.insert(sparse(col))
         if raw:
-            assert basis.rank == rank_mod(np.stack(raw, axis=1))
-        probe = make_vector(rng.randrange(P) for _ in range(dim))
+            assert basis.rank == rank_mod(np.array(raw).T)
+        probe = [rng.randrange(P) for _ in range(dim)]
         if rng.random() < 0.5 and raw:
             # force a member of the span
-            probe = combine_columns(raw, [rng.randrange(P) for _ in raw], dim)
-        in_span = basis.contains(probe)
+            coeffs = [rng.randrange(P) for _ in raw]
+            probe = [sum(c * col[i] for c, col in zip(coeffs, raw)) % P for i in range(dim)]
+        in_span = basis.contains(sparse(probe))
         if raw:
-            stacked = np.stack(raw + [probe], axis=1)
+            stacked = np.array(raw + [probe]).T
             assert in_span == (rank_mod(stacked) == basis.rank)
         else:
-            assert in_span == (not probe.any())
+            assert in_span == (not any(probe))
 
 
-def test_solve_reconstructs_target():
+def test_basis_rows_stay_fully_reduced():
+    rng = random.Random(5)
+    for _ in range(50):
+        dim = rng.randint(1, 8)
+        basis = ColumnBasis()
+        for _ in range(rng.randint(1, 9)):
+            basis.insert(sparse([rng.randrange(3) for _ in range(dim)]))
+        for p, row in basis.rows.items():
+            # entries off the pivot only, none zero, none at a pivot
+            assert all(row.values()) and not any(q in row for q in basis.rows)
+
+
+def test_reduce_clears_span_members():
     rng = random.Random(11)
     for _ in range(50):
         dim = rng.randint(2, 6)
-        raw = [make_vector(rng.randrange(P) for _ in range(dim)) for _ in range(dim + 2)]
-        basis = ColumnBasis(dim)
-        for tag, col in enumerate(raw):
-            basis.insert(col, tag)
+        raw = [[rng.randrange(P) for _ in range(dim)] for _ in range(dim - 1)]
+        basis = ColumnBasis()
+        for col in raw:
+            basis.insert(sparse(col))
         coeffs = [rng.randrange(P) for _ in raw]
-        target = combine_columns(raw, coeffs, dim)
-        expr = basis.solve(target)
-        assert expr is not None
-        rebuilt = combine_sparse(raw, expr, dim)
-        assert rebuilt.tolist() == target.tolist()
+        target = [sum(c * col[i] for c, col in zip(coeffs, raw)) % P for i in range(dim)]
+        residual, _ = basis.reduce(sparse(target))
+        assert residual == {}
+        # the payload of a span member reduces to zero alongside
+        payloads = {tuple(col): np.array([sum(col) % P, col[0]]) for col in raw}
+        basis = ColumnBasis()
+        for col in raw:
+            basis.insert(sparse(col), payloads[tuple(col)])
+        image = np.zeros(2, dtype=np.int64)
+        for c, col in zip(coeffs, raw):
+            image = (image + c * payloads[tuple(col)]) % P
+        residual, y = basis.reduce(sparse(target), image)
+        assert residual == {} and not y.any()
 
 
-def test_solve_rejects_outside_span():
-    basis = ColumnBasis(3)
-    basis.insert(make_vector([1, 0, 0]), tag=0)
-    basis.insert(make_vector([0, 1, 0]), tag=1)
-    assert basis.solve(make_vector([0, 0, 1])) is None
-    assert basis.solve(make_vector([4, 5, 0])) == {0: 4, 1: 5}
+def test_reduce_keeps_residual_outside_span():
+    basis = ColumnBasis()
+    basis.insert(sparse([1, 0, 0]))
+    basis.insert(sparse([0, 1, 0]))
+    assert basis.reduce(sparse([0, 0, 1]))[0] == {2: 1}
+    assert basis.reduce(sparse([4, 5, 0]))[0] == {}
+    assert basis.reduce(sparse([4, 5, 7]))[0] == {2: 7}
+    assert not basis.contains(sparse([0, 0, 1]))
 
 
 def test_unit_rows_track_one_hot_members():
-    basis = ColumnBasis(3)
-    basis.insert(make_vector([1, 1, 0]), tag=0)
-    assert basis.unit_rows() == frozenset()
-    basis.insert(make_vector([0, 1, 0]), tag=1)
+    basis = ColumnBasis()
+    basis.insert(sparse([1, 1, 0]))
+    assert basis.units == []
+    basis.insert(sparse([0, 1, 0]))
     # span now contains e0 and e1 but not e2
-    assert basis.unit_rows() == frozenset({0, 1})
+    assert sorted(basis.units) == [0, 1]
     for r in range(3):
-        assert basis.contains(unit_vector(3, r)) == (r in basis.unit_rows())
-    basis.insert(make_vector([3, 5, 7]), tag=2)
-    assert basis.unit_rows() == frozenset({0, 1, 2})
+        assert basis.contains(sparse(unit_vector(3, r))) == (r in basis.units)
+    basis.insert(sparse([3, 5, 7]))
+    assert sorted(basis.units) == [0, 1, 2]

@@ -78,6 +78,48 @@ def test_parse_rejects_malformed_documents(tree_topology):
         loads_instance("{not json")
 
 
+@pytest.fixture
+def good_doc(tree_topology):
+    doc = json.loads(dumps_instance(tree_topology))
+    parse_instance(doc)  # the unmodified document parses
+    return doc
+
+
+@pytest.mark.parametrize("value", [2.9, 6.0, True, "6"])
+def test_parse_rejects_non_integer_num_users(good_doc, value):
+    good_doc["num_users"] = value
+    with pytest.raises(ValueError, match="num_users"):
+        parse_instance(good_doc)
+
+
+@pytest.mark.parametrize("value", [4.0, False, "4"])
+def test_parse_rejects_non_integer_num_segments(good_doc, value):
+    good_doc["num_segments"] = value
+    with pytest.raises(ValueError, match="num_segments"):
+        parse_instance(good_doc)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_parse_rejects_non_integer_user_id(good_doc, value):
+    good_doc["users"][0]["id"] = value
+    with pytest.raises(ValueError, match="user id"):
+        parse_instance(good_doc)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_parse_rejects_non_integer_segment_id(good_doc, value):
+    good_doc["users"][0]["segments"] = [value]
+    with pytest.raises(ValueError, match="segment id"):
+        parse_instance(good_doc)
+
+
+@pytest.mark.parametrize("value", [9.0, True, "9"])
+def test_parse_rejects_non_integer_payload_length(good_doc, value):
+    good_doc["payload_length"] = value
+    with pytest.raises(ValueError, match="payload_length"):
+        parse_instance(good_doc)
+
+
 def test_plan_document_shape(tree_topology):
     plan = dbqt_schedule(tree_topology)
     doc = plan_document(plan)

@@ -15,7 +15,7 @@ from hypercast.general import (
     run_experiment,
     spanning_quasi_tree,
 )
-from hypercast.sim import run_schedule
+from hypercast.sim import naive_schedule, run_schedule
 from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
 
 
@@ -94,33 +94,35 @@ def test_min_degree_never_beats_min_cut_bound():
 
 
 def test_dbqt_general_triangle(triangle_topology):
-    result, schedule = dbqt_general(triangle_topology)
+    result, transcript = dbqt_general(triangle_topology)
     assert result.total_broadcasts == 2
     assert result.lower_bound == 1
     assert result.dbqt_broadcasts + result.completion_broadcasts == 2
-    t = run_schedule(triangle_topology, schedule)
+    assert transcript.complete and transcript.num_broadcasts == 2
+    t = run_schedule(triangle_topology, transcript.schedule)
     assert t.complete and t.num_broadcasts == 2
 
 
 def test_dbqt_general_matches_plain_planner_on_quasi_trees(tree_topology):
-    result, schedule = dbqt_general(tree_topology)
+    result, transcript = dbqt_general(tree_topology)
     assert result.completion_broadcasts == 0
     assert result.total_broadcasts == 3 == result.lower_bound
-    assert run_schedule(tree_topology, schedule).complete
+    assert run_schedule(tree_topology, transcript.schedule).complete
 
 
 def test_dbqt_general_disconnected_falls_back_to_naive(disconnected_topology):
-    result, schedule = dbqt_general(disconnected_topology)
+    result, transcript = dbqt_general(disconnected_topology)
     assert result.total_broadcasts == disconnected_topology.num_segments
     assert result.dbqt_broadcasts == 0
-    assert run_schedule(disconnected_topology, schedule).complete
+    assert transcript.schedule == naive_schedule(disconnected_topology)
+    assert transcript.complete
 
 
 def test_dbqt_general_trivial_instances():
-    result, schedule = dbqt_general(StorageTopology(2, {1: {1, 2}}))
-    assert result.total_broadcasts == 0 and schedule == []
-    result, schedule = dbqt_general(StorageTopology(0, {1: (), 2: ()}))
-    assert result.total_broadcasts == 0 and schedule == []
+    result, transcript = dbqt_general(StorageTopology(2, {1: {1, 2}}))
+    assert result.total_broadcasts == 0 and transcript.schedule == []
+    result, transcript = dbqt_general(StorageTopology(0, {1: (), 2: ()}))
+    assert result.total_broadcasts == 0 and transcript.schedule == []
 
 
 def test_dbqt_general_random_cyclic_instances_stay_in_band():
@@ -136,10 +138,11 @@ def test_dbqt_general_random_cyclic_instances_stay_in_band():
         _topo, h, placement = random_quasi_tree(cfg)
         h, placement = add_cycle_edges(h, placement, rng.randint(1, 2), trial)
         topo = from_hypergraph(h, placement)
-        result, schedule = dbqt_general(topo)
+        result, transcript = dbqt_general(topo)
         W = topo.num_segments
         assert result.lower_bound <= result.total_broadcasts <= W
-        assert run_schedule(topo, schedule).complete
+        assert transcript.num_broadcasts == result.total_broadcasts
+        assert run_schedule(topo, transcript.schedule).complete
 
 
 def test_experiment_config_validation():

@@ -30,8 +30,6 @@ def test_config_validation():
         GenConfig(num_users=4, num_segments=3, max_edge_size=4)
     with pytest.raises(ValueError):
         GenConfig(num_users=4, num_segments=0)
-    with pytest.raises(ValueError):
-        GenConfig(num_users=4, num_segments=3, extra_edges=-1)
 
 
 def test_infeasible_segment_budget():
