@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dbqt import NotQuasiTreeError, dbqt_schedule
+from .dbqt import NotQuasiTreeError, dbqt_schedule, ordered_representatives
 from .formats import (
     dumps_document,
     dumps_instance,
@@ -26,8 +26,8 @@ from .general import (
     run_experiment,
 )
 from .generators import RNG_ALGORITHM, GenConfig, add_cycle_edges, random_quasi_tree
-from .sim import materialize_payloads, naive_schedule, run_schedule, verify_payload_run
-from .topology import StorageTopology, from_hypergraph
+from .sim import decode_mismatches, materialize_payloads, naive_schedule, run_schedule
+from .topology import from_hypergraph
 
 __all__ = ["main", "main_script"]
 
@@ -110,33 +110,21 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _classification(topology: StorageTopology):
-    h, _placement, leftovers = topology.to_hypergraph()
-    connected = h.is_connected()
-    quasi_tree = h.is_quasi_tree()
-    return h, leftovers, connected, quasi_tree
-
-
 def cmd_analyze(args) -> int:
     topology, _metadata = read_instance(args.infile)
-    h, leftovers, connected, quasi_tree = _classification(topology)
-    cut = h.min_cut(method="auto" if quasi_tree else "exhaustive")
-    agreement = None
+    h, _placement, leftovers = topology.to_hypergraph()
+    quasi_tree = h.is_quasi_tree()
+    cut = h.min_cut()
+    agreement = reps = None
     if quasi_tree:
-        agreement = h.min_cut(method="exhaustive").capacity == h.min_cut(
-            method="edge-scan"
-        ).capacity
-    reps = None
-    if quasi_tree:
-        from .dbqt import ordered_representatives
-
+        agreement = h.min_cut(method="exhaustive").capacity == cut.capacity
         reps = list(ordered_representatives(h).order)
     doc = {
         "instance_digest": instance_digest(topology),
         "num_users": topology.num_users,
         "num_segments": topology.num_segments,
         "leftover_segments": sorted(leftovers),
-        "connected": connected,
+        "connected": h.is_connected(),
         "quasi_tree": quasi_tree,
         "min_cut": cut.capacity,
         "min_cut_single_scan_agrees": agreement,
@@ -149,12 +137,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.plan and args.strategy != "dbqt":
+        raise ValueError(
+            f"--plan writes a phase plan, which only --strategy dbqt makes "
+            f"(got --strategy {args.strategy})"
+        )
     topology, _metadata = read_instance(args.infile)
-    h, leftovers, connected, quasi_tree = _classification(topology)
+    h, _placement, _leftovers = topology.to_hypergraph()
+    has_cut = h.num_vertices >= 2 and bool(h.edges)
     plan_doc = None
-    transcript = None
-    track_edges = args.transcript is not None
-    extra: dict = {}
     if args.strategy == "dbqt":
         try:
             plan = dbqt_schedule(topology)
@@ -164,9 +155,13 @@ def cmd_run(args) -> int:
             ) from exc
         schedule = list(plan.schedule)
         plan_doc = plan_document(plan)
-    elif args.strategy == "dbqt-general":
-        result, transcript = dbqt_general(topology, track_edges=track_edges)
-        schedule = transcript.schedule
+    elif args.strategy == "naive":
+        schedule = naive_schedule(topology)
+    store = materialize_payloads(topology, seed=0) if args.payload_check else None
+    extra: dict = {}
+    if args.strategy == "dbqt-general":
+        result, transcript = dbqt_general(topology, store)
+        cut = result.min_cut
         extra.update(
             {
                 "dbqt_broadcasts": result.dbqt_broadcasts,
@@ -174,30 +169,24 @@ def cmd_run(args) -> int:
             }
         )
     else:
-        schedule = naive_schedule(topology)
-    if h.num_vertices >= 2 and h.edges:
-        cut = h.min_cut(method="auto" if quasi_tree else "exhaustive")
-        extra["min_cut"] = cut.capacity
-        extra["lower_bound"] = h.total_weight - cut.capacity
+        cut = h.min_cut().capacity if has_cut else None
+        transcript = run_schedule(topology, schedule, store)
+    if has_cut:
+        extra["min_cut"] = cut
+        extra["lower_bound"] = h.total_weight - cut
         extra["min_degree_lower_bound"] = min_degree_bound(h)
-    if transcript is None:
-        transcript = run_schedule(topology, schedule, track_edges=track_edges)
-    payload_ok = None
-    if args.payload_check:
-        store = materialize_payloads(topology, seed=0)
-        payload_ok = verify_payload_run(store, schedule)
-        if not payload_ok:
-            raise ValueError("payload-level run disagrees with coefficient-level decoding")
+    if store is not None and decode_mismatches(transcript.final_states, store):
+        raise ValueError("payload-level run disagrees with coefficient-level decoding")
     doc = {
         "instance_digest": instance_digest(topology),
         "strategy": args.strategy,
-        "connected": connected,
-        "quasi_tree": quasi_tree,
+        "connected": h.is_connected(),
+        "quasi_tree": h.is_quasi_tree(),
         "num_users": topology.num_users,
         "num_segments": topology.num_segments,
         "num_broadcasts": transcript.num_broadcasts,
         "complete": transcript.complete,
-        "payload_check": payload_ok,
+        "payload_check": args.payload_check or None,
         **extra,
     }
     if not transcript.complete:
@@ -205,7 +194,7 @@ def cmd_run(args) -> int:
     if args.transcript:
         with open(args.transcript, "w") as fh:
             fh.write(dumps_document(transcript_document(transcript)))
-    if args.plan and plan_doc is not None:
+    if args.plan:
         with open(args.plan, "w") as fh:
             fh.write(dumps_document(plan_doc))
     _emit(dumps_document(doc), None)

@@ -154,17 +154,16 @@ def plan_document(plan: QuasiTreePlan) -> dict:
 
 
 def transcript_document(transcript: Transcript) -> dict:
-    slots = []
-    for rec in transcript.slots:
-        entry = {
+    slots = [
+        {
             "slot": rec.slot,
             "sender": rec.sender,
             "coefficients": list(rec.coefficients),
             "ranks": list(rec.ranks),
+            "remaining_edges": rec.remaining_edges,
         }
-        if rec.remaining_edges is not None:
-            entry["remaining_edges"] = rec.remaining_edges
-        slots.append(entry)
+        for rec in transcript.slots
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "num_users": transcript.num_users,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dbqt import ordered_representatives, phase_schedule, plan_phases
 from .generators import GenConfig, add_cycle_edges, derive_seed, random_quasi_tree
 from .hypergraph import Edge, Hypergraph
-from .sim import Transcript, naive_schedule, run_schedule
+from .sim import SegmentStore, Transcript, naive_schedule, run_schedule
 from .topology import StorageTopology, from_hypergraph
 
 __all__ = [
@@ -45,6 +45,7 @@ class GeneralRunResult:
     dbqt_broadcasts: int
     completion_broadcasts: int
     lower_bound: int
+    min_cut: int
 
 
 def spanning_quasi_tree(h: Hypergraph) -> Reduction:
@@ -80,42 +81,40 @@ def min_degree_bound(h: Hypergraph) -> int:
 
 
 def dbqt_general(
-    topology: StorageTopology,
-    vertex_order: Sequence[int] | None = None,
-    track_edges: bool = False,
+    topology: StorageTopology, store: SegmentStore | None = None
 ) -> tuple[GeneralRunResult, Transcript]:
     """Plan and verify a schedule for an arbitrary topology.
 
-    Disconnected models fall back to one uncoded broadcast per segment.
-    Connected models run the quasi-tree planner on a spanning reduction
-    (blocks drawn from full storage), then sweep still-missing segments
-    uncoded in the same simulated run, whose transcript (with the
-    schedule) is returned.  The run must complete; the result satisfies
-    lower_bound <= total <= W.
+    The min cut is taken first, so an instance whose cut cannot be taken
+    fails before anything is simulated.  Disconnected models fall back
+    to one uncoded broadcast per segment.  Connected models run the
+    quasi-tree planner on a spanning reduction (blocks drawn from full
+    storage), then sweep still-missing segments uncoded in the same
+    simulated run (on payloads too with a `store`), whose transcript
+    (with the schedule) is returned.  The run must complete; the result
+    satisfies lower_bound <= total <= W.
     """
     W = topology.num_segments
     if topology.num_users == 1 or W == 0:
-        return GeneralRunResult(0, 0, 0, 0), run_schedule(topology, [], track_edges)
+        return GeneralRunResult(0, 0, 0, 0, 0), run_schedule(topology, [], store)
     h, placement, _leftovers = topology.to_hypergraph()
+    cut = h.min_cut().capacity
+    lower = h.total_weight - cut
     if not h.is_connected():
-        transcript = run_schedule(topology, naive_schedule(topology), track_edges)
+        transcript = run_schedule(topology, naive_schedule(topology), store)
         assert transcript.complete
-        return GeneralRunResult(W, 0, W, h.total_weight), transcript
+        return GeneralRunResult(W, 0, W, lower, cut), transcript
 
     reduction = spanning_quasi_tree(h)
     kept_placement = {vs: placement[vs] for vs in reduction.kept.edge_sets}
-    reps = ordered_representatives(reduction.kept, vertex_order)
-    phases = plan_phases(
-        topology, reduction.kept, kept_placement, reps, reduction.delta_kept, vertex_order
-    )
+    reps = ordered_representatives(reduction.kept)
+    phases = plan_phases(topology, reduction.kept, kept_placement, reps, reduction.delta_kept)
     coded = phase_schedule(topology, phases)
-    transcript = run_schedule(topology, coded, track_edges, completion=True)
+    transcript = run_schedule(topology, coded, store, completion=True)
     if not transcript.complete:
         raise RuntimeError("schedule failed to complete; planner invariant broken")
-    delta = h.min_cut(method="exhaustive").capacity
-    lower = h.total_weight - delta
     total = transcript.num_broadcasts
-    result = GeneralRunResult(total, len(coded), total - len(coded), lower)
+    result = GeneralRunResult(total, len(coded), total - len(coded), lower, cut)
     assert result.lower_bound <= result.total_broadcasts <= W
     return result, transcript
 

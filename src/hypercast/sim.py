@@ -115,7 +115,7 @@ class SlotRecord:
     sender: int
     coefficients: tuple[int, ...]
     ranks: tuple[int, ...]
-    remaining_edges: int | None = None
+    remaining_edges: int
 
 
 @dataclass(eq=False)
@@ -153,7 +153,6 @@ def simulate(
     on_slot=None,
     *,
     store: SegmentStore | None = None,
-    track_edges: bool = False,
     completion: bool = False,
 ) -> Transcript:
     """Deliver a schedule slot by slot: the one loop over broadcast slots.
@@ -162,9 +161,9 @@ def simulate(
     `store`, that its payload equals the store's combination
     (PayloadMismatch otherwise).  With `completion`, each segment some
     user still lacks once `schedule` runs out is then broadcast uncoded,
-    in ascending order.  With `track_edges`, each record counts the
-    model edges still carrying a segment not every user has decoded.
-    `on_slot(states, record)` runs after every slot.
+    in ascending order.  Each record counts the model edges still
+    carrying a segment not every user has decoded, so a segment stored
+    nowhere is refused.  `on_slot(states, record)` runs after every slot.
     """
     states = init_states(topology, store)
     V, W = topology.num_users, topology.num_segments
@@ -176,12 +175,11 @@ def simulate(
             known[w] += 1
     edge_of: dict[int, int] = {}
     left: list[int] = []  # per model edge, its segments not known by all
-    if track_edges:
-        h, placement, _ = topology.to_hypergraph()
-        for i, e in enumerate(h.edges):
-            segs = [w for w in placement[e.vertices] if known[w] < V]
-            edge_of.update((w, i) for w in segs)
-            left.append(len(segs))
+    h, placement, _ = topology.to_hypergraph()
+    for i, e in enumerate(h.edges):
+        segs = [w for w in placement[e.vertices] if known[w] < V]
+        edge_of.update((w, i) for w in segs)
+        left.append(len(segs))
     open_edges = sum(1 for n in left if n)
     records: list[SlotRecord] = []
 
@@ -224,7 +222,7 @@ def simulate(
                         if not left[e]:
                             open_edges -= 1
         ranks = tuple(s.rank for s in states)
-        record = SlotRecord(i, b.sender, dense, ranks, open_edges if track_edges else None)
+        record = SlotRecord(i, b.sender, dense, ranks, open_edges)
         records.append(record)
         if on_slot is not None:
             on_slot(states, record)
@@ -232,10 +230,13 @@ def simulate(
 
 
 def run_schedule(
-    topology: StorageTopology, schedule: Iterable[Broadcast], track_edges=False, completion=False
+    topology: StorageTopology,
+    schedule: Iterable[Broadcast],
+    store: SegmentStore | None = None,
+    completion: bool = False,
 ) -> Transcript:
-    """Coefficient-level run of a schedule (see `simulate`)."""
-    return simulate(topology, schedule, track_edges=track_edges, completion=completion)
+    """Run of a schedule, on payloads too with a `store` (see `simulate`)."""
+    return simulate(topology, schedule, store=store, completion=completion)
 
 
 def uncoded_broadcast(topology: StorageTopology, slot: int, w: int) -> Broadcast:

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import hypercast.sim
 from hypercast.cli import main
 from hypercast.formats import loads_instance
+from hypercast.hypergraph import Hypergraph
 from conftest import FIXTURES
 
 
@@ -159,6 +161,86 @@ def test_run_naive_takes_one_slot_per_segment(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["num_broadcasts"] == 5 and doc["complete"] is True
+
+
+@pytest.mark.parametrize("strategy", ["dbqt-general", "naive"])
+def test_run_plan_needs_dbqt_strategy(capsys, tmp_path, strategy):
+    plan_path = tmp_path / "plan.json"
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(FIXTURES / "tree-instance.json"),
+        "--strategy", strategy, "--plan", str(plan_path),
+    )
+    assert code == 2 and out == ""
+    assert "--strategy dbqt" in err
+    assert not plan_path.exists()
+
+
+def counted(monkeypatch):
+    """Count Hypergraph.min_cut and sim.simulate calls."""
+    calls = {"min_cut": 0, "simulate": 0}
+
+    def wrap(owner, name, key):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    wrap(Hypergraph, "min_cut", "min_cut")
+    wrap(hypercast.sim, "simulate", "simulate")
+    return calls
+
+
+@pytest.mark.parametrize("payload", [False, True])
+@pytest.mark.parametrize(
+    "strategy, fixture",
+    [
+        ("dbqt", "tree-instance.json"),  # dbqt refuses the cyclic fixture
+        ("dbqt-general", "tree-instance.json"),
+        ("dbqt-general", "cyclic-instance.json"),
+        ("naive", "tree-instance.json"),
+        ("naive", "cyclic-instance.json"),
+    ],
+)
+def test_run_takes_one_cut_and_one_simulation(capsys, monkeypatch, strategy, fixture, payload):
+    calls = counted(monkeypatch)
+    argv = ["run", "--in", str(FIXTURES / fixture), "--strategy", strategy]
+    code, out, _ = run_cli(capsys, *argv, *(["--payload-check"] if payload else []))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["payload_check"] is (True if payload else None)
+    assert calls == {"min_cut": 1, "simulate": 1}
+
+
+def test_general_runs_quasi_trees_beyond_exhaustive_limit(capsys, tmp_path):
+    path = tmp_path / "q30.json"
+    gen = ("gen", "--users", "30", "--segments", "60", "--seed", "1", "--out", str(path))
+    assert run_cli(capsys, *gen)[0] == 0
+    code, out, _ = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["quasi_tree"] is True
+    assert doc["lower_bound"] == 59 == 60 - doc["min_cut"]
+    assert doc["num_broadcasts"] == 59 and doc["complete"] is True
+    code, out, _ = run_cli(
+        capsys, "experiment", "--users-list", "30", "--segments-list", "60",
+        "--trials", "1", "--extra-edges", "0", "--seed", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "30,60,59.0000,59,59,59.0000,0"
+
+
+def test_general_refuses_large_cyclic_before_simulating(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "c30.json"
+    gen = ("gen", "--users", "30", "--segments", "256", "--seed", "1",
+           "--extra-edges", "2", "--out", str(path))
+    assert run_cli(capsys, *gen)[0] == 0
+    calls = counted(monkeypatch)
+    code, _, err = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")
+    assert code == 2 and "24 vertices" in err
+    assert calls == {"min_cut": 1, "simulate": 0}
 
 
 def test_experiment_small_grid(capsys, tmp_path):

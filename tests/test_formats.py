@@ -134,7 +134,7 @@ def test_plan_document_shape(tree_topology):
 
 
 def test_transcript_document_shape(tree_topology):
-    t = run_schedule(tree_topology, naive_schedule(tree_topology), track_edges=True)
+    t = run_schedule(tree_topology, naive_schedule(tree_topology))
     doc = transcript_document(t)
     assert doc["complete"] is True
     assert doc["num_broadcasts"] == 4

@@ -180,12 +180,10 @@ def test_run_schedule_slot_numbering(tree_topology):
 
 
 def test_run_schedule_tracks_remaining_edges(tree_topology):
-    t = run_schedule(tree_topology, naive_schedule(tree_topology), track_edges=True)
+    t = run_schedule(tree_topology, naive_schedule(tree_topology))
     counts = [rec.remaining_edges for rec in t.slots]
     assert counts[-1] == 0
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    plain = run_schedule(tree_topology, naive_schedule(tree_topology))
-    assert all(rec.remaining_edges is None for rec in plain.slots)
 
 
 def test_remaining_edges_start_and_end(tree_topology):
@@ -204,7 +202,7 @@ def test_remaining_edges_start_and_end(tree_topology):
 
     for schedule in (naive_schedule(tree_topology), list(dbqt_schedule(tree_topology).schedule)):
         seen.clear()
-        simulate(tree_topology, schedule, on_slot, track_edges=True)
+        simulate(tree_topology, schedule, on_slot)
         assert seen[-1] == 0
 
 
