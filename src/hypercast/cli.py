@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     cut = h.min_cut()
     agreement = reps = None
     if quasi_tree:
-        agreement = h.min_cut(method="exhaustive").capacity == cut.capacity
+        agreement = h.min_cut(method="edge-scan").capacity == cut.capacity
         reps = list(ordered_representatives(h).order)
     doc = {
         "instance_digest": instance_digest(topology),

@@ -85,8 +85,8 @@ def dbqt_general(
 ) -> tuple[GeneralRunResult, Transcript]:
     """Plan and verify a schedule for an arbitrary topology.
 
-    The min cut is taken first, so an instance whose cut cannot be taken
-    fails before anything is simulated.  Disconnected models fall back
+    The lower bound is the total edge weight minus the min cut, taken
+    once by its default route.  Disconnected models fall back
     to one uncoded broadcast per segment.  Connected models run the
     quasi-tree planner on a spanning reduction (blocks drawn from full
     storage), then sweep still-missing segments uncoded in the same

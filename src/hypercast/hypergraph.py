@@ -8,6 +8,7 @@ deterministic order (sorted vertex tuples) everywhere.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -301,10 +302,11 @@ class Hypergraph:
     def min_cut(self, method: str = "auto") -> MinCut:
         """Minimum-capacity cut.
 
-        method "auto" picks the single-scan shortcut on quasi-trees and
-        exhaustive subset enumeration otherwise; "exhaustive" and
-        "edge-scan" force one route.  Exhaustive enumeration is limited
-        to MAX_EXHAUSTIVE_VERTICES vertices.
+        method "auto" orders vertices by maximum adjacency, which works on
+        any hypergraph in polynomial time.  "edge-scan" (quasi-trees only)
+        and "exhaustive" (every split, limited to MAX_EXHAUSTIVE_VERTICES
+        vertices) force one of the two simpler routes, which serve as
+        oracles for the first.
         """
         if len(self._vertices) < 2:
             raise ValueError("min-cut needs at least 2 vertices")
@@ -316,7 +318,7 @@ class Hypergraph:
                 raise ValueError("edge-scan requires a connected quasi-tree")
             return MinCut(0, comps[0])
         if method == "auto":
-            method = "edge-scan" if self.is_quasi_tree() else "exhaustive"
+            return self._min_cut_by_ordering()
         if method == "edge-scan":
             if not self.is_quasi_tree():
                 raise ValueError("edge-scan requires a connected quasi-tree")
@@ -329,7 +331,7 @@ class Hypergraph:
         if len(self._vertices) > MAX_EXHAUSTIVE_VERTICES:
             raise MinCutLimitError(
                 f"exhaustive min-cut is limited to {MAX_EXHAUSTIVE_VERTICES} vertices "
-                f"(got {len(self._vertices)}); only quasi-trees have a fast path"
+                f"(got {len(self._vertices)}); the default route has no such limit"
             )
         vs = sorted(self._vertices)
         anchor, rest = vs[0], vs[1:]
@@ -343,6 +345,59 @@ class Hypergraph:
                 )
                 if best is None or w < best.capacity:
                     best = MinCut(w, xs)
+        assert best is not None
+        return best
+
+    def _min_cut_by_ordering(self) -> MinCut:
+        """Min cut of a connected hypergraph by maximum-adjacency ordering.
+
+        Klimmek & Wagner's hypergraph form of Stoer-Wagner.  Each phase
+        orders the merged vertices from the smallest vertex, always adding
+        the one whose edges touching the added set weigh most.  The last
+        vertex t, taken alone, is a minimum cut between t and the vertex
+        s added before it, and its weight is t's tie when it is added.
+        Merging t into s keeps every cut that does not split them, so the
+        lightest phase cut is a minimum cut; its witness is the original
+        vertices merged into t.  O(V * p log p) for p = sum of edge sizes.
+        """
+        start = min(self._vertices)
+        members = {v: frozenset((v,)) for v in sorted(self._vertices)}
+        edges = [(e.vertices, e.weight) for e in self._edges]
+        best: MinCut | None = None
+        while len(members) > 1:
+            incident: dict[int, list[int]] = {v: [] for v in members}
+            for i, (eset, _w) in enumerate(edges):
+                for v in eset:
+                    incident[v].append(i)
+            tie = dict.fromkeys(members, 0)
+            touched = [False] * len(edges)
+            heap = [(0, start)]
+            order = []
+            while heap:
+                neg, v = heapq.heappop(heap)
+                if tie.get(v) != -neg:  # added already, or a stale entry
+                    continue
+                order.append(v)
+                cut = tie.pop(v)
+                for i in incident[v]:
+                    if not touched[i]:
+                        touched[i] = True
+                        eset, w = edges[i]
+                        for u in eset:
+                            if u in tie:
+                                tie[u] += w
+                                heapq.heappush(heap, (-tie[u], u))
+            s, t = order[-2], order[-1]
+            if best is None or cut < best.capacity:
+                best = MinCut(cut, members[t])
+            members[s] |= members.pop(t)
+            merged: dict[frozenset[int], int] = {}
+            for eset, w in edges:
+                if t in eset:
+                    eset = (eset - {t}) | {s}
+                if len(eset) > 1:
+                    merged[eset] = merged.get(eset, 0) + w
+            edges = list(merged.items())
         assert best is not None
         return best
 

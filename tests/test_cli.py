@@ -232,15 +232,44 @@ def test_general_runs_quasi_trees_beyond_exhaustive_limit(capsys, tmp_path):
     assert out.splitlines()[1] == "30,60,59.0000,59,59,59.0000,0"
 
 
-def test_general_refuses_large_cyclic_before_simulating(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "c30.json"
-    gen = ("gen", "--users", "30", "--segments", "256", "--seed", "1",
-           "--extra-edges", "2", "--out", str(path))
-    assert run_cli(capsys, *gen)[0] == 0
+def gen_instance(capsys, tmp_path, users, segments, extra):
+    path = tmp_path / f"gen-{users}-{segments}-{extra}.json"
+    argv = ("gen", "--users", str(users), "--segments", str(segments), "--seed", "1",
+            "--extra-edges", str(extra), "--out", str(path))
+    assert run_cli(capsys, *argv)[0] == 0
+    return path
+
+
+def test_general_runs_large_cyclic_with_one_cut_and_one_simulation(capsys, monkeypatch, tmp_path):
+    path = gen_instance(capsys, tmp_path, 30, 256, 2)
     calls = counted(monkeypatch)
-    code, _, err = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")
-    assert code == 2 and "24 vertices" in err
-    assert calls == {"min_cut": 1, "simulate": 0}
+    code, out, _ = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["quasi_tree"] is False and doc["complete"] is True
+    assert doc["lower_bound"] <= doc["num_broadcasts"] <= 256
+    assert calls == {"min_cut": 1, "simulate": 1}
+    code, out, _ = run_cli(
+        capsys, "experiment", "--users-list", "30", "--segments-list", "120",
+        "--trials", "2", "--extra-edges", "2", "--seed", "1",
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["violations"] == "0"
+
+
+@pytest.mark.parametrize(
+    "segments, extra, min_cut, agreement", [(60, 0, 1, True), (256, 2, 5, None)]
+)
+def test_analyze_beyond_exhaustive_limit(capsys, tmp_path, segments, extra, min_cut, agreement):
+    path = gen_instance(capsys, tmp_path, 30, segments, extra)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["quasi_tree"] is (extra == 0)
+    assert doc["min_cut"] == min_cut
+    assert doc["min_cut_single_scan_agrees"] is agreement
+    assert doc["broadcast_lower_bound"] == segments - min_cut
 
 
 def test_experiment_small_grid(capsys, tmp_path):

@@ -2,7 +2,8 @@
 
 Connectivity and min-cut results are cross-checked against independent
 oracles written inline: breadth-first reachability over an incidence
-expansion, and full bipartition enumeration.
+expansion, full bipartition enumeration, and (beyond the exhaustive
+limit, when networkx is installed) maximum flow on Lawler's network.
 """
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercast import Edge, Hypergraph, MinCutLimitError, WalkKind
+from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
+from hypercast.hypergraph import MAX_EXHAUSTIVE_VERTICES
 from conftest import random_subset
 
 
@@ -351,15 +355,64 @@ def test_min_cut_vertex_limit():
     chain = [({v, v + 1}, 1) for v in range(1, n)]
     cyc = Hypergraph(range(1, n + 1), chain + [({1, 3}, 1)])
     assert not cyc.is_quasi_tree()
-    with pytest.raises(MinCutLimitError):
-        cyc.min_cut()
+    mc = cyc.min_cut()
+    assert mc.capacity == 1 and cyc.cut(mc.witness).weight == 1
     with pytest.raises(MinCutLimitError):
         cyc.min_cut(method="exhaustive")
-    # a large quasi-tree still works through the scan
+    # a large quasi-tree works through the default route and the scan
     star = Hypergraph(range(1, 31), [({1, v}, 1) for v in range(2, 31)])
-    assert star.min_cut().capacity == 1
+    assert star.min_cut().capacity == 1 == star.min_cut(method="edge-scan").capacity
     with pytest.raises(MinCutLimitError):
         star.min_cut(method="exhaustive")
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """Up to 9 vertices, edges of any size 2..V with weights 1..5; repeated
+    vertex sets (merged by the constructor) and disconnected graphs occur."""
+    V = draw(st.integers(2, 9))
+    edge = st.tuples(
+        st.frozensets(st.integers(1, V), min_size=2, max_size=V), st.integers(1, 5)
+    )
+    return Hypergraph(range(1, V + 1), draw(st.lists(edge, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=small_hypergraphs())
+def test_property_default_min_cut_matches_exhaustive(h):
+    mc = h.min_cut()
+    assert mc.capacity == h.min_cut(method="exhaustive").capacity
+    assert h.cut(mc.witness).weight == mc.capacity
+
+
+def flow_min_cut(nx, h: Hypergraph) -> int:
+    """Lawler's reduction: edge e becomes an arc e_in -> e_out of capacity
+    w(e), and each member v gets uncapacitated arcs v -> e_in and
+    e_out -> v.  A minimum s-t cut of that network is a minimum hypergraph
+    cut separating s from t; the global cut is the least over t."""
+    g = nx.DiGraph()
+    for i, e in enumerate(h.edges):
+        g.add_edge(("in", i), ("out", i), capacity=e.weight)
+        for v in e.vertices:
+            g.add_edge(v, ("in", i))
+            g.add_edge(("out", i), v)
+    s, *rest = sorted(h.vertices)
+    return min(nx.maximum_flow_value(g, s, t) for t in rest)
+
+
+@pytest.mark.parametrize("users, segments, extra", [(30, 120, 3), (60, 240, 4)])
+def test_min_cut_matches_flow_oracle_beyond_exhaustive_limit(users, segments, extra):
+    nx = pytest.importorskip("networkx")
+    for seed in (1, 2):
+        cfg = GenConfig(
+            num_users=users, num_segments=segments - extra, max_edge_size=3, seed=seed
+        )
+        _topo, h, placement = random_quasi_tree(cfg)
+        h, _placement = add_cycle_edges(h, placement, extra, seed)
+        assert h.num_vertices > MAX_EXHAUSTIVE_VERTICES and not h.is_quasi_tree()
+        mc = h.min_cut()
+        assert mc.capacity == flow_min_cut(nx, h)
+        assert h.cut(mc.witness).weight == mc.capacity
 
 
 def test_min_cut_monotone_under_weight_increase():
