@@ -68,11 +68,9 @@ from .sim import (
     SlotRecord,
     Transcript,
     UserState,
-    init_states,
     materialize_payloads,
     naive_schedule,
     run_schedule,
-    simulate,
     uncoded_broadcast,
     verify_payload_run,
 )
@@ -117,7 +115,6 @@ __all__ = [
     "dumps_instance",
     "experiment_csv",
     "from_hypergraph",
-    "init_states",
     "instance_digest",
     "instance_document",
     "inv_mod",
@@ -137,7 +134,6 @@ __all__ = [
     "read_instance",
     "run_experiment",
     "run_schedule",
-    "simulate",
     "spanning_quasi_tree",
     "transcript_document",
     "uncoded_broadcast",

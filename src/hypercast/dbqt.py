@@ -72,30 +72,17 @@ class QuasiTreePlan:
         return len(self.schedule)
 
 
-def _rank_map(h: Hypergraph, vertex_order: Sequence[int] | None) -> dict[int, int]:
-    if vertex_order is None:
-        return {v: v for v in h.vertices}
-    order = [int(v) for v in vertex_order]
-    if sorted(order) != sorted(h.vertices):
-        raise ValueError("vertex_order must be a permutation of the vertices")
-    return {v: i for i, v in enumerate(order)}
-
-
-def ordered_representatives(
-    h: Hypergraph, vertex_order: Sequence[int] | None = None
-) -> RepresentativeSequence:
+def ordered_representatives(h: Hypergraph) -> RepresentativeSequence:
     """Greedy representative ordering covering every edge.
 
     The first pick is a vertex whose incident edge set is not strictly
     contained in any other vertex's; every later pick lies on an already
     covered edge, contributes at least one uncovered edge, and is
     maximal in the same strict-containment sense among the eligible
-    candidates.  Ties break toward the preferred vertex (ascending id by
-    default, or the order given by `vertex_order`).
+    candidates.  Ties break toward the lowest vertex id.
     """
     if not h.is_connected():
         raise PlanError("representative ordering needs a connected hypergraph")
-    rank = _rank_map(h, vertex_order)
     incident = {v: frozenset(e.vertices for e in h.incident(v)) for v in h.vertices}
     all_edges = h.edge_sets
 
@@ -104,7 +91,7 @@ def ordered_representatives(
             v for v in cands
             if not any(incident[v] < incident[u] for u in cands if u != v)
         ]
-        return min(maximal, key=lambda v: rank[v])
+        return min(maximal)
 
     first = pick(sorted(h.vertices))
     order = [first]
@@ -161,20 +148,17 @@ def plan_phases(
     tree: Hypergraph,
     placement: PlacementMap,
     reps: RepresentativeSequence,
-    delta: int | None = None,
-    vertex_order: Sequence[int] | None = None,
 ) -> tuple[PhasePlan, ...]:
-    """One phase per representative over the given quasi-tree.
+    """One phase per representative over the given quasi-tree, with delta
+    the tree's minimum edge weight.
 
     Blocks draw on the users' full holdings, so the tree may be a
     reduced subgraph of the topology's model; `placement` must cover the
-    tree's edges.
+    tree's edges.  Bridge ties break toward the lowest vertex ids.
     """
     if not tree.edges:
         raise PlanError("cannot plan phases without edges")
-    if delta is None:
-        delta = min(e.weight for e in tree.edges)
-    rank = _rank_map(tree, vertex_order)
+    delta = min(e.weight for e in tree.edges)
     phases: list[PhasePlan] = []
     prev_union: set[int] = set()
     for i, v in enumerate(reps.order, start=1):
@@ -191,9 +175,7 @@ def plan_phases(
             ]
             if not eligible:
                 raise PlanError(f"representative {v} has no bridge edge into the covered region")
-            bridge_edge = min(
-                eligible, key=lambda e: tuple(sorted(rank[u] for u in e.vertices))
-            )
+            bridge_edge = min(eligible, key=lambda e: e.key)
             bridge = bridge_edge.vertices
             segs = placement[bridge]
             if len(segs) < delta:
@@ -252,9 +234,7 @@ def phase_schedule(topology: StorageTopology, phases: Sequence[PhasePlan]) -> li
     return out
 
 
-def dbqt_schedule(
-    topology: StorageTopology, vertex_order: Sequence[int] | None = None
-) -> QuasiTreePlan:
+def dbqt_schedule(topology: StorageTopology) -> QuasiTreePlan:
     """Plan the full broadcast schedule for a quasi-tree topology.
 
     Requires every segment to sit on a model edge (no leftovers) and the
@@ -272,8 +252,8 @@ def dbqt_schedule(
     if not h.is_quasi_tree():
         raise NotQuasiTreeError("storage model is not a quasi-tree")
     delta = min(e.weight for e in h.edges)
-    reps = ordered_representatives(h, vertex_order)
-    phases = plan_phases(topology, h, placement, reps, delta, vertex_order)
+    reps = ordered_representatives(h)
+    phases = plan_phases(topology, h, placement, reps)
     schedule = phase_schedule(topology, phases)
     assert len(schedule) == topology.num_segments - delta
     return QuasiTreePlan(delta, reps, phases, tuple(schedule))

@@ -50,21 +50,20 @@ class GeneralRunResult:
 
 def spanning_quasi_tree(h: Hypergraph) -> Reduction:
     """Strip removable edges (ascending weight, then lexicographic vertex
-    set) until every remaining edge is a bridge."""
+    set) until every remaining edge is a bridge.
+
+    One ascending pass suffices: an edge that is a bridge stays one as
+    other edges go, so a skipped edge never becomes removable later.
+    """
     if not h.is_connected():
         raise ValueError("spanning quasi-tree reduction needs a connected hypergraph")
     current = h
     removed: list[Edge] = []
-    while True:
-        candidate = None
-        for e in sorted(current.edges, key=lambda e: (e.weight, e.key)):
-            if current.without_edge(e.vertices).is_connected():
-                candidate = e
-                break
-        if candidate is None:
-            break
-        removed.append(candidate)
-        current = current.without_edge(candidate.vertices)
+    for e in sorted(h.edges, key=lambda e: (e.weight, e.key)):
+        reduced = current.without_edge(e.vertices)
+        if reduced.is_connected():
+            removed.append(e)
+            current = reduced
     assert current.is_quasi_tree()
     if not current.edges:
         raise ValueError("hypergraph has no edges to keep")
@@ -100,7 +99,7 @@ def dbqt_general(
     h, placement, _leftovers = topology.to_hypergraph()
     cut = h.min_cut().capacity
     lower = h.total_weight - cut
-    if not h.is_connected():
+    if cut == 0:  # disconnected
         transcript = run_schedule(topology, naive_schedule(topology), store)
         assert transcript.complete
         return GeneralRunResult(W, 0, W, lower, cut), transcript
@@ -108,7 +107,7 @@ def dbqt_general(
     reduction = spanning_quasi_tree(h)
     kept_placement = {vs: placement[vs] for vs in reduction.kept.edge_sets}
     reps = ordered_representatives(reduction.kept)
-    phases = plan_phases(topology, reduction.kept, kept_placement, reps, reduction.delta_kept)
+    phases = plan_phases(topology, reduction.kept, kept_placement, reps)
     coded = phase_schedule(topology, phases)
     transcript = run_schedule(topology, coded, store, completion=True)
     if not transcript.complete:
@@ -173,7 +172,7 @@ def iter_experiment_instances(
                 )
                 _topo, h, placement = random_quasi_tree(cfg)
                 if k:
-                    h, placement = add_cycle_edges(h, placement, k, seed)
+                    h, placement = add_cycle_edges(h, placement, k, seed, config.max_edge_size)
                 yield V, W, trial, from_hypergraph(h, placement)
 
 

@@ -141,9 +141,10 @@ def add_cycle_edges(
     placement: PlacementMap,
     k: int,
     seed: int,
-    max_size: int | None = None,
+    max_size: int,
 ) -> tuple[Hypergraph, PlacementMap]:
-    """Overlay k redundant edges, each carrying one fresh segment.
+    """Overlay k redundant edges of at most max_size vertices, each
+    carrying one fresh segment.
 
     The input must be a quasi-tree; every added edge sits on already
     connected vertices, so the result stays connected but stops being a
@@ -156,7 +157,7 @@ def add_cycle_edges(
     if not h.is_quasi_tree():
         raise ValueError("redundant edges can only be added to a quasi-tree")
     vertices = sorted(h.vertices)
-    cap = min(len(vertices) - 1, max_size if max_size is not None else 3)
+    cap = min(len(vertices) - 1, max_size)
     if cap < 2:
         raise GenerationError("too few vertices to place a redundant edge")
     rng = random.Random(derive_seed(seed, "cycle-edges"))

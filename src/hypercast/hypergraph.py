@@ -139,9 +139,6 @@ class Hypergraph:
     def total_weight(self) -> int:
         return sum(self._weights.values())
 
-    def has_edge(self, vset: Iterable[int]) -> bool:
-        return frozenset(vset) in self._weights
-
     def weight_of(self, vset: Iterable[int]) -> int:
         """Weight of the edge on this vertex set, 0 if absent."""
         return self._weights.get(frozenset(vset), 0)

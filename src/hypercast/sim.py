@@ -10,17 +10,19 @@ basis rank, and it has decoded segment w iff it stores w or the basis
 row with pivot w is one-hot.  The run is complete when every user
 reaches full rank.
 
-Payload mode carries actual length-L codewords: every basis row holds
-the payload of its vector, and row operations are mirrored on it.  Each
-slot checks the sender's payload combination against M.c (M the store
-matrix, c the coefficient vector); at the end every decoded segment is
-compared bit for bit with the store.
+`run_schedule` is the one loop over broadcast slots.  With a store it
+carries actual length-L codewords: every basis row holds the payload of
+its vector, and row operations are mirrored on it.  Each slot checks the
+sender's payload combination against M.c (M the store matrix, c the
+coefficient vector); at the end of the run every decoded segment is
+compared bit for bit with the store.  Either check raises
+PayloadMismatch.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,30 +39,26 @@ __all__ = [
     "SlotRecord",
     "Transcript",
     "SegmentStore",
-    "init_states",
-    "is_complete",
-    "simulate",
     "run_schedule",
     "uncoded_broadcast",
     "naive_schedule",
     "materialize_payloads",
-    "decode_mismatches",
     "verify_payload_run",
 ]
 
 
 class PayloadMismatch(ValueError):
-    """A sender's payload differs from the store's combination."""
+    """A sender's payload differs from the store's combination, or a
+    decoded payload differs from the store."""
 
 
 class UserState:
     """One user's stored segments and its basis over the missing ones."""
 
-    __slots__ = ("user", "num_segments", "stored", "basis", "store")
+    __slots__ = ("user", "stored", "basis", "store")
 
-    def __init__(self, user: int, num_segments: int, stored: Iterable[int], store=None):
+    def __init__(self, user: int, stored: Iterable[int], store=None):
         self.user = user
-        self.num_segments = num_segments
         self.stored = frozenset(stored)
         self.basis = ColumnBasis()
         self.store = store
@@ -136,37 +134,29 @@ class Transcript:
         return [Broadcast(r.slot, r.sender, r.coefficients) for r in self.slots]
 
 
-def init_states(topology: StorageTopology, store: SegmentStore | None = None) -> list[UserState]:
-    W = topology.num_segments
-    if W > MAX_SIM_SEGMENTS:
-        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
-    return [UserState(v, W, topology.holding(v), store) for v in topology.users]
-
-
-def is_complete(states: Sequence[UserState]) -> bool:
-    return all(s.rank == s.num_segments for s in states)
-
-
-def simulate(
+def run_schedule(
     topology: StorageTopology,
     schedule: Iterable[Broadcast],
-    on_slot=None,
-    *,
     store: SegmentStore | None = None,
     completion: bool = False,
+    on_slot=None,
 ) -> Transcript:
     """Deliver a schedule slot by slot: the one loop over broadcast slots.
 
     Every slot checks that the sender spans its coefficients and, with a
-    `store`, that its payload equals the store's combination
-    (PayloadMismatch otherwise).  With `completion`, each segment some
-    user still lacks once `schedule` runs out is then broadcast uncoded,
-    in ascending order.  Each record counts the model edges still
-    carrying a segment not every user has decoded, so a segment stored
-    nowhere is refused.  `on_slot(states, record)` runs after every slot.
+    `store`, that its payload equals the store's combination; once the
+    slots run out, every decoded payload is compared with the store.
+    Either check raises PayloadMismatch.  With `completion`, each
+    segment some user still lacks once `schedule` runs out is then
+    broadcast uncoded, in ascending order.  Each record counts the model
+    edges still carrying a segment not every user has decoded, so a
+    segment stored nowhere is refused.  `on_slot(states, record)` runs
+    after every slot.
     """
-    states = init_states(topology, store)
     V, W = topology.num_users, topology.num_segments
+    if W > MAX_SIM_SEGMENTS:
+        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
+    states = [UserState(v, topology.holding(v), store) for v in topology.users]
     initial_ranks = tuple(s.rank for s in states)
     # known[w]: users that have decoded w; w is known by all at V
     known = [0] * (W + 1)
@@ -226,17 +216,19 @@ def simulate(
         records.append(record)
         if on_slot is not None:
             on_slot(states, record)
-    return Transcript(V, W, initial_ranks, records, is_complete(states), states)
-
-
-def run_schedule(
-    topology: StorageTopology,
-    schedule: Iterable[Broadcast],
-    store: SegmentStore | None = None,
-    completion: bool = False,
-) -> Transcript:
-    """Run of a schedule, on payloads too with a `store` (see `simulate`)."""
-    return simulate(topology, schedule, store=store, completion=completion)
+    if store is not None:
+        wrong = [
+            (s.user, w)
+            for s in states
+            for w in s.basis.units
+            if not np.array_equal(s.basis.payloads[w], store.column(w))
+        ]
+        if wrong:
+            raise PayloadMismatch(
+                "decoded payloads differ from the store at (user, segment) "
+                + ", ".join(f"({v}, {w})" for v, w in wrong)
+            )
+    return Transcript(V, W, initial_ranks, records, all(s.rank == W for s in states), states)
 
 
 def uncoded_broadcast(topology: StorageTopology, slot: int, w: int) -> Broadcast:
@@ -306,16 +298,6 @@ def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
     raise RuntimeError("failed to draw independent payload columns")
 
 
-def decode_mismatches(states: Sequence[UserState], store: SegmentStore) -> list[tuple[int, int]]:
-    """(user, segment) pairs whose decoded payload differs from the store."""
-    return [
-        (s.user, w)
-        for s in states
-        for w in s.basis.units
-        if not np.array_equal(s.basis.payloads[w], store.column(w))
-    ]
-
-
 def verify_payload_run(store: SegmentStore, schedule: Iterable[Broadcast]) -> bool:
     """Re-run a schedule on real payload vectors.
 
@@ -327,7 +309,6 @@ def verify_payload_run(store: SegmentStore, schedule: Iterable[Broadcast]) -> bo
     the final decode guards that argument.
     """
     try:
-        transcript = simulate(store.topology, schedule, store=store)
+        return run_schedule(store.topology, schedule, store).complete
     except PayloadMismatch:
         return False
-    return transcript.complete and not decode_mismatches(transcript.final_states, store)

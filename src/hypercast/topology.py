@@ -173,9 +173,6 @@ class StorageTopology:
 
     # -- misc ------------------------------------------------------------
 
-    def as_mapping(self) -> dict[int, tuple[int, ...]]:
-        return {v: tuple(sorted(self._holdings[v - 1])) for v in self.users}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StorageTopology):
             return NotImplemented

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-import hypercast.sim
+import hypercast.cli
+import hypercast.general
 from hypercast.cli import main
 from hypercast.formats import loads_instance
 from hypercast.hypergraph import Hypergraph
@@ -56,6 +57,18 @@ def test_gen_infeasible_exits_2(capsys):
     assert code == 2
 
 
+def test_gen_extra_edges_respect_max_edge_size(capsys):
+    code, out, _ = run_cli(
+        capsys, "gen", "--users", "8", "--segments", "20", "--seed", "1",
+        "--extra-edges", "3", "--max-edge-size", "2",
+    )
+    assert code == 0
+    topo, meta = loads_instance(out)
+    assert meta["max_edge_size"] == 2
+    h, _placement, _leftovers = topo.to_hypergraph()
+    assert len(h.edges) >= 10 and max(len(e.vertices) for e in h.edges) == 2
+
+
 def test_gen_deterministic_bytes(capsys):
     args = ("gen", "--users", "8", "--segments", "14", "--seed", "42", "--extra-edges", "2")
     _, first, _ = run_cli(capsys, *args)
@@ -97,6 +110,22 @@ def test_analyze_disconnected_bound_is_segment_count(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["connected"] is False
     assert doc["broadcast_lower_bound"] == topo.num_segments
+
+
+def test_analyze_one_user_reports_no_cut(capsys, tmp_path):
+    from hypercast import StorageTopology
+    from hypercast.formats import write_instance
+
+    path = tmp_path / "one.json"
+    write_instance(path, StorageTopology(3, {1: {1, 2, 3}}))
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["min_cut"] is None
+    assert doc["min_cut_single_scan_agrees"] is None
+    assert doc["broadcast_lower_bound"] is None
+    assert doc["representatives"] == [1]
+    assert run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")[0] == 0
 
 
 def test_analyze_missing_file_exits_2(capsys, tmp_path):
@@ -176,8 +205,9 @@ def test_run_plan_needs_dbqt_strategy(capsys, tmp_path, strategy):
 
 
 def counted(monkeypatch):
-    """Count Hypergraph.min_cut and sim.simulate calls."""
-    calls = {"min_cut": 0, "simulate": 0}
+    """Count Hypergraph.min_cut calls, and run_schedule calls where cli
+    and general import it."""
+    calls = {"min_cut": 0, "run_schedule": 0}
 
     def wrap(owner, name, key):
         original = getattr(owner, name)
@@ -189,7 +219,8 @@ def counted(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
 
     wrap(Hypergraph, "min_cut", "min_cut")
-    wrap(hypercast.sim, "simulate", "simulate")
+    wrap(hypercast.cli, "run_schedule", "run_schedule")
+    wrap(hypercast.general, "run_schedule", "run_schedule")
     return calls
 
 
@@ -211,7 +242,7 @@ def test_run_takes_one_cut_and_one_simulation(capsys, monkeypatch, strategy, fix
     assert code == 0
     doc = json.loads(out)
     assert doc["payload_check"] is (True if payload else None)
-    assert calls == {"min_cut": 1, "simulate": 1}
+    assert calls == {"min_cut": 1, "run_schedule": 1}
 
 
 def test_general_runs_quasi_trees_beyond_exhaustive_limit(capsys, tmp_path):
@@ -248,7 +279,7 @@ def test_general_runs_large_cyclic_with_one_cut_and_one_simulation(capsys, monke
     doc = json.loads(out)
     assert doc["quasi_tree"] is False and doc["complete"] is True
     assert doc["lower_bound"] <= doc["num_broadcasts"] <= 256
-    assert calls == {"min_cut": 1, "simulate": 1}
+    assert calls == {"min_cut": 1, "run_schedule": 1}
     code, out, _ = run_cli(
         capsys, "experiment", "--users-list", "30", "--segments-list", "120",
         "--trials", "2", "--extra-edges", "2", "--seed", "1",
@@ -306,9 +337,10 @@ def test_console_script_entry_point():
         [sys.executable, "-c",
          "from hypercast.cli import main_script; main_script()"],
         input="", capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": ""},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
     )
     assert proc.returncode == 1  # no subcommand counts as a usage error
+    assert proc.stderr.startswith("usage: hypercast")
 
 
 def test_gen_analyze_round_trip_never_errors(capsys, tmp_path):

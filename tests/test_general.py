@@ -39,6 +39,36 @@ def test_spanning_reduction_prefers_light_edges():
     assert red.kept.total_weight == 7
 
 
+def restart_reduction(h):
+    """Oracle: after every removal, rescan from the lightest edge."""
+    current, removed = h, []
+    while True:
+        for e in sorted(current.edges, key=lambda e: (e.weight, e.key)):
+            if current.without_edge(e.vertices).is_connected():
+                removed.append(e)
+                current = current.without_edge(e.vertices)
+                break
+        else:
+            return current, tuple(removed)
+
+
+def test_spanning_reduction_matches_restart_loop():
+    rng = random.Random(47)
+    done = 0
+    while done < 150:
+        n = rng.randint(3, 12)
+        edges = []
+        for _ in range(rng.randint(n - 1, 3 * n)):
+            size = rng.randint(2, min(4, n))
+            edges.append((set(rng.sample(range(1, n + 1), size)), rng.randint(1, 3)))
+        h = Hypergraph(range(1, n + 1), edges)
+        if not h.is_connected():
+            continue
+        red = spanning_quasi_tree(h)
+        assert (red.kept, red.removed) == restart_reduction(h)
+        done += 1
+
+
 def test_spanning_reduction_random_outputs_are_quasi_trees():
     rng = random.Random(43)
     done = 0
@@ -136,7 +166,7 @@ def test_dbqt_general_random_cyclic_instances_stay_in_band():
             seed=1000 + trial,
         )
         _topo, h, placement = random_quasi_tree(cfg)
-        h, placement = add_cycle_edges(h, placement, rng.randint(1, 2), trial)
+        h, placement = add_cycle_edges(h, placement, rng.randint(1, 2), trial, max_size=3)
         topo = from_hypergraph(h, placement)
         result, transcript = dbqt_general(topo)
         W = topo.num_segments

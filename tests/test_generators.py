@@ -83,13 +83,13 @@ def test_same_seed_same_instance():
 
 def test_add_cycle_edges_identity_for_zero(tree_h):
     placement = {e.vertices: (i + 1,) for i, e in enumerate(tree_h.edges)}
-    h2, p2 = add_cycle_edges(tree_h, placement, 0, seed=5)
+    h2, p2 = add_cycle_edges(tree_h, placement, 0, seed=5, max_size=3)
     assert h2 == tree_h and p2 == placement
 
 
 def test_add_cycle_edges_breaks_quasi_tree(tree_h, tree_topology):
     _, placement, _ = tree_topology.to_hypergraph()
-    h2, p2 = add_cycle_edges(tree_h, placement, 1, seed=5)
+    h2, p2 = add_cycle_edges(tree_h, placement, 1, seed=5, max_size=3)
     assert h2.is_connected()
     assert not h2.is_quasi_tree()
     assert h2.total_weight == tree_h.total_weight + 1
@@ -103,14 +103,14 @@ def test_add_cycle_edges_requires_quasi_tree():
     tri = Hypergraph([1, 2, 3], [({1, 2}, 1), ({2, 3}, 1), ({1, 3}, 1)])
     placement = {e.vertices: (i + 1,) for i, e in enumerate(tri.edges)}
     with pytest.raises(ValueError):
-        add_cycle_edges(tri, placement, 1, seed=0)
+        add_cycle_edges(tri, placement, 1, seed=0, max_size=3)
 
 
 def test_add_cycle_edges_many_seeds(tree_h, tree_topology):
     _, placement, _ = tree_topology.to_hypergraph()
     seen = set()
     for seed in range(200):
-        h2, p2 = add_cycle_edges(tree_h, placement, 2, seed=seed)
+        h2, p2 = add_cycle_edges(tree_h, placement, 2, seed=seed, max_size=3)
         assert h2.is_connected() and not h2.is_quasi_tree()
         assert h2.total_weight == 6
         ids = sorted(w for ws in p2.values() for w in ws)

@@ -408,7 +408,7 @@ def test_min_cut_matches_flow_oracle_beyond_exhaustive_limit(users, segments, ex
             num_users=users, num_segments=segments - extra, max_edge_size=3, seed=seed
         )
         _topo, h, placement = random_quasi_tree(cfg)
-        h, _placement = add_cycle_edges(h, placement, extra, seed)
+        h, _placement = add_cycle_edges(h, placement, extra, seed, max_size=3)
         assert h.num_vertices > MAX_EXHAUSTIVE_VERTICES and not h.is_quasi_tree()
         mc = h.min_cut()
         assert mc.capacity == flow_min_cut(nx, h)

@@ -7,6 +7,7 @@ vector, independent of the simulator's sparse basis.
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,9 @@ from hypercast.sim import (
     Broadcast,
     PayloadMismatch,
     UserState,
-    decode_mismatches,
-    init_states,
-    is_complete,
     materialize_payloads,
     naive_schedule,
     run_schedule,
-    simulate,
     uncoded_broadcast,
     verify_payload_run,
 )
@@ -88,11 +85,12 @@ def random_in_span_schedule(rng, topology, slots, coeff_range=3):
 
 
 def test_init_states_ranks_and_decoded(tree_topology):
-    states = init_states(tree_topology)
+    t = run_schedule(tree_topology, [])
+    states = t.final_states
     assert [s.rank for s in states] == [1, 1, 2, 2, 2, 1]
     assert states[2].decoded == frozenset({2, 3})
     assert states[0].decoded == frozenset({1})
-    assert not is_complete(states)
+    assert not t.complete
     for s in states:
         assert s.decoded == oracle_decoded(tree_topology, [], s.user)
 
@@ -100,7 +98,7 @@ def test_init_states_ranks_and_decoded(tree_topology):
 def test_init_states_segment_limit():
     topo = StorageTopology(MAX_SIM_SEGMENTS + 1, {1: {1}, 2: {2}})
     with pytest.raises(ValueError):
-        init_states(topo)
+        run_schedule(topo, [])
 
 
 def test_apply_broadcast_two_users():
@@ -123,8 +121,8 @@ def test_triangle_hand_worked_run():
     # plain segment 2 finishes user 3; its lowest holder is user 1
     b = uncoded_broadcast(topo, 1, 2)
     assert b.sender == 1 and b.coefficients == (0, 1, 0)
-    t = simulate(topo, [first, b], checking_oracle(topo))
-    assert t.complete and is_complete(t.final_states)
+    t = run_schedule(topo, [first, b], on_slot=checking_oracle(topo))
+    assert t.complete and all(s.rank == 3 for s in t.final_states)
 
 
 def test_broadcast_validation_sender_length_and_span(tree_topology):
@@ -193,7 +191,7 @@ def test_remaining_edges_start_and_end(tree_topology):
         known_by_all = frozenset.intersection(*(s.decoded for s in states))
         return sum(1 for e in h.edges if not set(placement[e.vertices]) <= known_by_all)
 
-    assert oracle_remaining(init_states(tree_topology)) == len(h.edges)
+    assert oracle_remaining(run_schedule(tree_topology, []).final_states) == len(h.edges)
     seen = []
 
     def on_slot(states, record):
@@ -202,7 +200,7 @@ def test_remaining_edges_start_and_end(tree_topology):
 
     for schedule in (naive_schedule(tree_topology), list(dbqt_schedule(tree_topology).schedule)):
         seen.clear()
-        simulate(tree_topology, schedule, on_slot)
+        run_schedule(tree_topology, schedule, on_slot=on_slot)
         assert seen[-1] == 0
 
 
@@ -210,7 +208,7 @@ def test_random_mixes_respect_rank_laws(tree_topology):
     rng = random.Random(13)
     for _ in range(20):
         schedule = random_in_span_schedule(rng, tree_topology, 6)
-        before = [s.rank for s in init_states(tree_topology)]
+        before = [s.rank for s in run_schedule(tree_topology, []).final_states]
         check = checking_oracle(tree_topology)
 
         def on_slot(states, record):
@@ -221,7 +219,7 @@ def test_random_mixes_respect_rank_laws(tree_topology):
             check(states, record)
             before[:] = after
 
-        simulate(tree_topology, schedule, on_slot)
+        run_schedule(tree_topology, schedule, on_slot=on_slot)
 
 
 @st.composite
@@ -240,7 +238,7 @@ def topologies(draw):
 def test_property_sparse_basis_matches_dense_oracle(topo, seed, slots):
     rng = random.Random(seed)
     schedule = random_in_span_schedule(rng, topo, slots, coeff_range=P)
-    t = simulate(topo, schedule, checking_oracle(topo))
+    t = run_schedule(topo, schedule, on_slot=checking_oracle(topo))
     heard = [b.coefficients for b in schedule]
     # a user lacking segment w cannot send it
     for s in t.final_states:
@@ -253,7 +251,7 @@ def test_property_sparse_basis_matches_dense_oracle(topo, seed, slots):
             vec[lacking[0] - 1] = 1
             out_of_span = Broadcast(len(schedule), s.user, tuple(vec))
             with pytest.raises(ValueError):
-                simulate(topo, schedule + [out_of_span])
+                run_schedule(topo, schedule + [out_of_span])
 
 
 def test_completion_broadcasts_what_is_missing(tree_topology):
@@ -318,7 +316,7 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
         UserState, "payload_of", lambda self, coeffs: honest_payload_of(self, flipped(coeffs))
     )
     with pytest.raises(PayloadMismatch, match="slot 0"):
-        simulate(tree_topology, schedule, store=store)
+        run_schedule(tree_topology, schedule, store)
     assert not verify_payload_run(store, schedule)
     monkeypatch.undo()
 
@@ -333,8 +331,9 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
 
     monkeypatch.setattr(UserState, "receive", receive)
     assert not verify_payload_run(store, schedule)
-    t = simulate(tree_topology, schedule, store=store)  # every sender stays honest
-    assert t.complete
-    mismatches = decode_mismatches(t.final_states, store)
+    # every sender stays honest, so only the final decode sees it
+    with pytest.raises(PayloadMismatch, match="decoded payloads differ") as caught:
+        run_schedule(tree_topology, schedule, store)
+    mismatches = [(int(v), int(w)) for v, w in re.findall(r"\((\d+), (\d+)\)", str(caught.value))]
     # the error then spreads to what user 2 decodes later, and no further
-    assert mismatches[0] == (2, 3) and {user for user, _ in mismatches} == {2}
+    assert mismatches == [(2, 3), (2, 4), (2, 1)]
