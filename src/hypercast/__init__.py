@@ -21,7 +21,7 @@ from .dbqt import (
     plan_phases,
     vandermonde,
 )
-from .field import P, ColumnBasis, inv_mod, nonsingular_mod, rank_mod
+from .field import P, inv_mod, nonsingular_mod, rank_mod
 from .formats import (
     FORMAT_VERSION,
     dumps_document,
@@ -81,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "P",
     "Broadcast",
-    "ColumnBasis",
     "Cut",
     "Edge",
     "ExperimentConfig",

@@ -251,9 +251,9 @@ def dbqt_schedule(topology: StorageTopology) -> QuasiTreePlan:
         raise PlanError("storage model is disconnected; no coded schedule exists")
     if not h.is_quasi_tree():
         raise NotQuasiTreeError("storage model is not a quasi-tree")
-    delta = min(e.weight for e in h.edges)
     reps = ordered_representatives(h)
     phases = plan_phases(topology, h, placement, reps)
     schedule = phase_schedule(topology, phases)
-    assert len(schedule) == topology.num_segments - delta
-    return QuasiTreePlan(delta, reps, phases, tuple(schedule))
+    # plan_phases takes delta and checks that the phases telescope to
+    # W - delta: every segment lies on an edge some representative holds
+    return QuasiTreePlan(topology.num_segments - len(schedule), reps, phases, tuple(schedule))

@@ -36,7 +36,6 @@ __all__ = [
 class Reduction:
     kept: Hypergraph
     removed: tuple[Edge, ...]
-    delta_kept: int
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,13 @@ def spanning_quasi_tree(h: Hypergraph) -> Reduction:
     current = h
     removed: list[Edge] = []
     for e in sorted(h.edges, key=lambda e: (e.weight, e.key)):
-        reduced = current.without_edge(e.vertices)
-        if reduced.is_connected():
+        if current.connected_without(e.vertices):
             removed.append(e)
-            current = reduced
+            current = current.without_edge(e.vertices)
     assert current.is_quasi_tree()
     if not current.edges:
         raise ValueError("hypergraph has no edges to keep")
-    return Reduction(current, tuple(removed), min(e.weight for e in current.edges))
+    return Reduction(current, tuple(removed))
 
 
 def min_degree_bound(h: Hypergraph) -> int:

@@ -197,9 +197,11 @@ class Hypergraph:
 
     # -- connectivity ---------------------------------------------------
 
-    def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components, sorted by smallest member."""
+    def _union(self, skip: frozenset[int] | None = None):
+        """Union-find over every edge except the one on `skip`: returns
+        (find, number of components)."""
         parent = {v: v for v in self._vertices}
+        parts = len(parent)
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -208,23 +210,41 @@ class Hypergraph:
             return a
 
         for e in self._edges:
+            if e.vertices == skip:
+                continue
             it = iter(e.vertices)
             first = find(next(it))
             for v in it:
-                parent[find(v)] = first
+                root = find(v)
+                if root != first:
+                    parent[root] = first
+                    parts -= 1
+        return find, parts
+
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected components, sorted by smallest member."""
+        find, _ = self._union()
         groups: dict[int, set[int]] = {}
         for v in self._vertices:
             groups.setdefault(find(v), set()).add(v)
         return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return self._union()[1] == 1
+
+    def connected_without(self, vset: Iterable[int]) -> bool:
+        """True iff the hypergraph stays connected without the edge on
+        `vset`; one union-find pass, no new hypergraph."""
+        key = frozenset(vset)
+        if key not in self._weights:
+            raise ValueError(f"no edge on {sorted(key)}")
+        return self._union(key)[1] == 1
 
     def is_quasi_tree(self) -> bool:
         """Connected, and removing any single edge disconnects the graph."""
         if not self.is_connected():
             return False
-        return all(not self.without_edge(e.vertices).is_connected() for e in self._edges)
+        return not any(self.connected_without(e.vertices) for e in self._edges)
 
     # -- walks ----------------------------------------------------------
 

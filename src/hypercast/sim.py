@@ -2,18 +2,18 @@
 
 A broadcast is a coefficient vector over the W segments, and its sender
 must be able to form it: the vector has to lie in the span of what the
-sender knows.  Each user keeps the set of segments it stores plus a
-fully reduced sparse basis (field.ColumnBasis) over only the segments it
-is missing; a received vector is restricted to those coordinates and
-reduced into the basis.  A user's rank is its stored count plus the
-basis rank, and it has decoded segment w iff it stores w or the basis
-row with pivot w is one-hot.  The run is complete when every user
-reaches full rank.
+sender knows.  Every user spans the unit vectors of the segments it
+stores plus a fully reduced sparse basis over the segments it is
+missing, and all users' bases live in one field.UserBases, so each
+slot reduces the broadcast for every receiver in one vectorized pass.
+A user's rank is its stored count plus its basis rank, and it has
+decoded segment w iff it stores w or its basis row with pivot w is
+one-hot.  The run is complete when every user reaches full rank.
 
 `run_schedule` is the one loop over broadcast slots.  With a store it
 carries actual length-L codewords: every basis row holds the payload of
-its vector, and row operations are mirrored on it.  Each slot checks the
-sender's payload combination against M.c (M the store matrix, c the
+its vector, and each row operation is applied to it.  Each slot checks
+the sender's payload combination against M.c (M the store matrix, c the
 coefficient vector); at the end of the run every decoded segment is
 compared bit for bit with the store.  Either check raises
 PayloadMismatch.
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .field import P, ColumnBasis, rank_mod
+from .field import P, UserBases, rank_mod
 from .topology import StorageTopology
 
 MAX_SIM_SEGMENTS = 2048  # the largest measured size that completed (README)
@@ -53,48 +53,23 @@ class PayloadMismatch(ValueError):
 
 
 class UserState:
-    """One user's stored segments and its basis over the missing ones."""
+    """One user's view of a run: its rank and decoded segments, read from
+    the shared bases."""
 
-    __slots__ = ("user", "stored", "basis", "store")
+    __slots__ = ("user", "_stored", "_bases")
 
-    def __init__(self, user: int, stored: Iterable[int], store=None):
+    def __init__(self, user: int, stored: frozenset[int], bases: UserBases):
         self.user = user
-        self.stored = frozenset(stored)
-        self.basis = ColumnBasis()
-        self.store = store
+        self._stored = stored
+        self._bases = bases
 
     @property
     def rank(self) -> int:
-        return len(self.stored) + self.basis.rank
+        return int(self._bases.rank[self.user - 1])
 
     @property
     def decoded(self) -> frozenset[int]:
-        return self.stored.union(self.basis.units)
-
-    def spans(self, coeffs: Mapping[int, int]) -> bool:
-        """True iff this user can form the coefficient vector `coeffs`."""
-        return self.basis.contains({w: c for w, c in coeffs.items() if w not in self.stored})
-
-    def payload_of(self, coeffs: Mapping[int, int]) -> np.ndarray:
-        """Payload this user forms for `coeffs`, which it spans: stored
-        columns for stored entries, row payloads for pivot entries (the
-        rest of the missing part is made of those rows)."""
-        acc = np.zeros(self.store.length, dtype=np.int64)
-        for w, c in coeffs.items():
-            y = self.store.column(w) if w in self.stored else self.basis.payloads.get(w)
-            if y is not None:
-                acc = (acc + c * y) % P
-        return acc
-
-    def receive(self, coeffs: Mapping[int, int], payload: np.ndarray | None = None) -> bool:
-        """Take in a broadcast; True iff the rank grew."""
-        missing = {}
-        for w, c in coeffs.items():
-            if w not in self.stored:
-                missing[w] = c
-            elif payload is not None:
-                payload = (payload - c * self.store.column(w)) % P
-        return self.basis.insert(missing, payload)
+        return self._stored.union(w + 1 for w in self._bases.units[self.user - 1])
 
 
 @dataclass(frozen=True)
@@ -149,34 +124,40 @@ def run_schedule(
     Either check raises PayloadMismatch.  With `completion`, each
     segment some user still lacks once `schedule` runs out is then
     broadcast uncoded, in ascending order.  Each record counts the model
-    edges still carrying a segment not every user has decoded, so a
-    segment stored nowhere is refused.  `on_slot(states, record)` runs
-    after every slot.
+    edges (holder sets of 2 to V - 1 users) still carrying a segment not
+    every user has decoded; a segment stored nowhere is refused.
+    `on_slot(states, record)` runs after every slot.
     """
     V, W = topology.num_users, topology.num_segments
     if W > MAX_SIM_SEGMENTS:
         raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
-    states = [UserState(v, topology.holding(v), store) for v in topology.users]
-    initial_ranks = tuple(s.rank for s in states)
-    # known[w]: users that have decoded w; w is known by all at V
-    known = [0] * (W + 1)
-    for s in states:
-        for w in s.stored:
-            known[w] += 1
-    edge_of: dict[int, int] = {}
-    left: list[int] = []  # per model edge, its segments not known by all
-    h, placement, _ = topology.to_hypergraph()
-    for i, e in enumerate(h.edges):
-        segs = [w for w in placement[e.vertices] if known[w] < V]
-        edge_of.update((w, i) for w in segs)
-        left.append(len(segs))
-    open_edges = sum(1 for n in left if n)
+    # known[c]: users that have decoded segment c + 1, V once all have
+    known: list[int] = []
+    edges: dict[frozenset[int], int] = {}  # the model edges: holder sets of 2..V-1 users
+    edge_of: dict[int, int] = {}  # coordinate -> its model edge
+    for w in range(1, W + 1):
+        holders = topology.holders_of(w)
+        if not holders:
+            raise ValueError(f"segment {w} is stored nowhere")
+        known.append(len(holders))
+        if 2 <= len(holders) < V:
+            edge_of[w - 1] = edges.setdefault(holders, len(edges))
+    left = [0] * len(edges)  # per model edge, its segments not known by all
+    for e in edge_of.values():
+        left[e] += 1
+    open_edges = len(edges)
+    stored = np.zeros((V, W), dtype=bool)
+    for v in topology.users:
+        stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
+    bases = UserBases(stored, None if store is None else store.matrix.T)
+    states = [UserState(v, topology.holding(v), bases) for v in topology.users]
+    initial_ranks = tuple(bases.rank.tolist())
     records: list[SlotRecord] = []
 
     def slots():
         yield from schedule
         if completion:
-            for w in [w for w in range(1, W + 1) if known[w] < V]:
+            for w in [c + 1 for c in range(W) if known[c] < V]:
                 yield uncoded_broadcast(topology, len(records), w)
 
     for i, b in enumerate(slots()):
@@ -187,48 +168,44 @@ def run_schedule(
         if len(b.coefficients) != W:
             raise ValueError(f"slot {i}: {len(b.coefficients)} coefficients for {W} segments")
         dense = tuple(int(c) % P for c in b.coefficients)
-        coeffs = {w: c for w, c in enumerate(dense, start=1) if c}
-        sender = states[b.sender - 1]
-        if not sender.spans(coeffs):
+        v = np.array(dense, dtype=np.int64)
+        residuals = bases.reduce(v)
+        if residuals[b.sender - 1].any():
             raise ValueError(f"slot {i}: sender {b.sender} cannot form these coefficients")
-        payload = None
+        payloads = None
         if store is not None:
-            payload = sender.payload_of(coeffs)
-            if not np.array_equal(payload, store.combine(coeffs)):
+            formed = bases.combine(v)
+            payload = formed[b.sender - 1]
+            expected = store.combine({w: c for w, c in enumerate(dense, start=1) if c})
+            if not np.array_equal(payload, expected):
                 raise PayloadMismatch(
                     f"slot {i}: sender {b.sender}'s payload is not the store's combination"
                 )
-        for s in states:
-            if s is sender:
-                continue
-            units = s.basis.units
-            n = len(units)
-            if s.receive(coeffs, payload):
-                for w in units[n:]:
-                    known[w] += 1
-                    if known[w] == V and w in edge_of:
-                        e = edge_of[w]
-                        left[e] -= 1
-                        if not left[e]:
-                            open_edges -= 1
-        ranks = tuple(s.rank for s in states)
-        record = SlotRecord(i, b.sender, dense, ranks, open_edges)
+            # what each receiver has left after taking out its own part
+            payloads = (payload + P - formed) % P
+        for _user, c in bases.insert(residuals, payloads):
+            known[c] += 1
+            if known[c] == V and c in edge_of:
+                e = edge_of[c]
+                left[e] -= 1
+                if not left[e]:
+                    open_edges -= 1
+        record = SlotRecord(i, b.sender, dense, tuple(bases.rank.tolist()), open_edges)
         records.append(record)
         if on_slot is not None:
             on_slot(states, record)
     if store is not None:
-        wrong = [
-            (s.user, w)
-            for s in states
-            for w in s.basis.units
-            if not np.array_equal(s.basis.payloads[w], store.column(w))
-        ]
+        wrong = []
+        for u, units in enumerate(bases.units):
+            cols = np.array(units, dtype=np.int64)
+            differs = (bases.payloads[bases.source[u, cols]] != store.matrix.T[cols]).any(axis=1)
+            wrong += [(u + 1, w + 1) for w, bad in zip(units, differs.tolist()) if bad]
         if wrong:
             raise PayloadMismatch(
                 "decoded payloads differ from the store at (user, segment) "
                 + ", ".join(f"({v}, {w})" for v, w in wrong)
             )
-    return Transcript(V, W, initial_ranks, records, all(s.rank == W for s in states), states)
+    return Transcript(V, W, initial_ranks, records, all(r == W for r in bases.rank.tolist()), states)
 
 
 def uncoded_broadcast(topology: StorageTopology, slot: int, w: int) -> Broadcast:
@@ -267,17 +244,15 @@ class SegmentStore:
         self.length = matrix.shape[0]
         self.matrix = matrix % P
 
-    def column(self, w: int) -> np.ndarray:
-        if not 1 <= w <= self.topology.num_segments:
-            raise ValueError(f"segment {w} outside range")
-        return self.matrix[:, w - 1]
-
     def combine(self, coeffs: Mapping[int, int]) -> np.ndarray:
         """M.c for a sparse coefficient map {segment: coeff}."""
-        acc = np.zeros(self.length, dtype=np.int64)
-        for w, c in coeffs.items():
-            acc = (acc + c % P * self.column(w)) % P
-        return acc
+        W = self.topology.num_segments
+        if any(not 1 <= w <= W for w in coeffs):
+            raise ValueError(f"segments {sorted(coeffs)} outside 1..{W}")
+        cols = np.array([w - 1 for w in coeffs], dtype=np.intp)
+        c = np.array([c % P for c in coeffs.values()], dtype=np.int64)
+        # W products below P each: the sum stays below 2**42
+        return (self.matrix[:, cols] * c % P).sum(axis=1) % P
 
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:

@@ -3,7 +3,10 @@
 Rank results are cross-checked against an independent oracle: Gaussian
 elimination over the rationals with fractions.Fraction on the same
 integer matrix.  Rational rank can only exceed the mod-P rank when P
-divides a pivot minor, which the seeded cases here never hit.
+divides a pivot minor, which the seeded cases here never hit.  The
+vectorized rank_mod is also compared with the row-by-row elimination it
+replaced, and the dict basis that serves the simulator tests as an
+oracle (basis_oracle.ColumnBasis) is checked against rank_mod.
 """
 from __future__ import annotations
 
@@ -12,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from basis_oracle import ColumnBasis
 from hypercast import (
     P,
-    ColumnBasis,
     StorageTopology,
     inv_mod,
     nonsingular_mod,
@@ -43,6 +47,35 @@ def rank_over_rationals(matrix) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def rank_by_row_loop(matrix) -> int:
+    """Reference rank over GF(P): the row-by-row elimination that
+    rank_mod replaced."""
+    m = np.array(matrix, dtype=np.int64)
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return 0
+    m %= P
+    r = 0
+    for c in range(cols):
+        pivot = -1
+        for i in range(r, rows):
+            if m[i, c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * inv_mod(int(m[r, c]))) % P
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % P
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def test_prime_constant():
@@ -118,6 +151,32 @@ def test_rank_random_products_match_rational_oracle():
             v = np.array([[rng.randrange(1000) for _ in range(m)] for _ in range(r)])
             mat = u @ v  # entries < 1e9, exact in int64 and small enough for Fraction
         assert rank_mod(mat % P) == rank_over_rationals(mat)
+
+
+@st.composite
+def matrices_with_rank_at_most(draw):
+    """Products of an n x r and an r x m matrix over GF(P), so rank <= r;
+    duplicate, zero and wrapped (+P) entries come in through the factors."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(n, m)))
+    entries = st.one_of(st.integers(0, 3), st.integers(0, P - 1), st.just(P))
+    u = np.array(draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n)),
+                 dtype=object).reshape(n, r)
+    v = np.array(draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r)),
+                 dtype=object).reshape(r, m)
+    return r, (u.dot(v) % P).astype(np.int64) if r else np.zeros((n, m), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices_with_rank_at_most())
+def test_property_rank_mod_matches_row_loop(case):
+    r, mat = case
+    rank = rank_mod(mat)
+    assert rank == rank_by_row_loop(mat)
+    assert rank <= r
+    # a combination of two rows, appended, leaves the rank as it is
+    mixed = np.vstack([mat, (mat[:1] * 5 + mat[-1:]) % P])
+    assert rank_mod(mixed) == rank_by_row_loop(mixed) == rank
 
 
 def test_nonsingular_mod():

@@ -23,7 +23,7 @@ def test_spanning_reduction_drops_cycle_edge(cyclic_h, tree_h):
     red = spanning_quasi_tree(cyclic_h)
     assert red.kept == tree_h
     assert [e.key for e in red.removed] == [(1, 2, 3)]
-    assert red.delta_kept == 1
+    assert min(e.weight for e in red.kept.edges) == 1
 
 
 def test_spanning_reduction_identity_on_quasi_trees(tree_h):

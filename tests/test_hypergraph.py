@@ -128,6 +128,14 @@ def test_with_and_without_edge():
     assert h3.without_edge({1, 2}).edge_sets == frozenset({frozenset({2, 3})})
     with pytest.raises(ValueError):
         h.without_edge({2, 3})
+    # connected_without answers for the graph that without_edge would build
+    tri = h3.with_edge({1, 3})
+    for g in (h3, tri):
+        for e in g.edges:
+            assert g.connected_without(e.vertices) == g.without_edge(e.vertices).is_connected()
+    assert not h3.connected_without({1, 2}) and tri.connected_without({1, 2})
+    with pytest.raises(ValueError):
+        h.connected_without({2, 3})
 
 
 # -- frozen example values ---------------------------------------------

@@ -2,7 +2,10 @@
 
 Ranks and decoded sets are cross-checked against a dense oracle built
 from rank_mod on the stored unit vectors plus every slot's coefficient
-vector, independent of the simulator's sparse basis.
+vector, independent of the simulator's sparse basis.  Ranks and the
+order in which each user decodes are also compared, slot by slot, with
+one dict basis per user (basis_oracle.ColumnBasis), the simulator's
+former per-user design.
 """
 from __future__ import annotations
 
@@ -13,13 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from basis_oracle import ColumnBasis
 from hypercast import StorageTopology
-from hypercast.field import P, rank_mod, unit_vector
+from hypercast.field import P, UserBases, rank_mod, unit_vector
 from hypercast.sim import (
     MAX_SIM_SEGMENTS,
     Broadcast,
     PayloadMismatch,
-    UserState,
     materialize_payloads,
     naive_schedule,
     run_schedule,
@@ -27,6 +30,7 @@ from hypercast.sim import (
     verify_payload_run,
 )
 from hypercast.dbqt import dbqt_schedule
+from hypercast.generators import GenConfig, random_quasi_tree
 
 TRIANGLE = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
 
@@ -254,6 +258,56 @@ def test_property_sparse_basis_matches_dense_oracle(topo, seed, slots):
                 run_schedule(topo, schedule + [out_of_span])
 
 
+def dict_basis_run(topology, schedule):
+    """(ranks after every slot, each user's decoded segments in order) with
+    one dict ColumnBasis per user over the segments it is missing."""
+    stored = {v: topology.holding(v) for v in topology.users}
+    bases = {v: ColumnBasis() for v in topology.users}
+    ranks = []
+    for b in schedule:
+        coeffs = {w: c % P for w, c in enumerate(b.coefficients, start=1) if c % P}
+        for v in topology.users:
+            if v != b.sender:
+                bases[v].insert({w: c for w, c in coeffs.items() if w not in stored[v]})
+        ranks.append(tuple(len(stored[v]) + bases[v].rank for v in topology.users))
+    return ranks, [bases[v].units for v in topology.users]
+
+
+def assert_matches_dict_basis(topology, schedule):
+    runs = []
+    honest_insert = UserBases.insert
+
+    def insert(self, residuals, payloads=None):
+        runs.append(self)
+        return honest_insert(self, residuals, payloads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UserBases, "insert", insert)
+        t = run_schedule(topology, schedule)
+    ranks, units = dict_basis_run(topology, schedule)
+    assert [r.ranks for r in t.slots] == ranks
+    if runs:
+        assert [[w + 1 for w in ws] for ws in runs[0].units] == units
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), slots=st.integers(0, 8),
+       coeff_range=st.sampled_from([2, 3, P]))
+def test_property_ranks_and_decode_order_match_dict_basis(topo, seed, slots, coeff_range):
+    rng = random.Random(seed)
+    assert_matches_dict_basis(topo, random_in_span_schedule(rng, topo, slots, coeff_range))
+
+
+@settings(max_examples=25, deadline=None)
+@given(users=st.integers(4, 9), extra=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_property_dbqt_ranks_and_decode_order_match_dict_basis(users, extra, seed):
+    topo, _h, _placement = random_quasi_tree(GenConfig(users, users + extra, 3, seed))
+    plan = dbqt_schedule(topo)
+    assert_matches_dict_basis(topo, list(plan.schedule))
+    # and a prefix, which leaves some users part way through a block
+    assert_matches_dict_basis(topo, list(plan.schedule)[: len(plan.schedule) // 2])
+
+
 def test_completion_broadcasts_what_is_missing(tree_topology):
     coded = list(dbqt_schedule(tree_topology).schedule)
     t = run_schedule(tree_topology, coded[:1], completion=True)
@@ -280,9 +334,9 @@ def test_materialize_payloads_honors_declared_length():
     topo = StorageTopology(2, {1: {1}, 2: {2}}, payload_length=9)
     store = materialize_payloads(topo, seed=1)
     assert store.length == 9
-    assert store.column(1).shape == (9,)
+    assert store.matrix.shape == (9, 2)
     with pytest.raises(ValueError):
-        store.column(3)
+        store.combine({3: 1})
 
 
 def test_verify_payload_run_accepts_honest_schedules(tree_topology, triangle_topology):
@@ -311,26 +365,38 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
         w = min(coeffs)
         return {**coeffs, w: (coeffs[w] + 1) % P}
 
-    honest_payload_of = UserState.payload_of
-    monkeypatch.setattr(
-        UserState, "payload_of", lambda self, coeffs: honest_payload_of(self, flipped(coeffs))
-    )
+    # every user's formed payload, the sender's among them, uses flipped coefficients
+    honest_combine = UserBases.combine
+
+    def combine(self, v):
+        w = int(np.flatnonzero(v)[0])
+        v = v.copy()
+        v[w] = (v[w] + 1) % P
+        return honest_combine(self, v)
+
+    monkeypatch.setattr(UserBases, "combine", combine)
     with pytest.raises(PayloadMismatch, match="slot 0"):
         run_schedule(tree_topology, schedule, store)
     assert not verify_payload_run(store, schedule)
     monkeypatch.undo()
 
     # slot 0 (sender 3, segments 2 and 3) lets user 2 decode segment 3
-    honest_receive = UserState.receive
+    honest_insert = UserBases.insert
     first = {w: c for w, c in enumerate(schedule[0].coefficients, start=1) if c}
+    calls = []
 
-    def receive(self, coeffs, payload=None):
-        if self.user == 2 and coeffs == first:
-            payload = store.combine(flipped(coeffs))
-        return honest_receive(self, coeffs, payload)
+    def insert(self, residuals, payloads=None):
+        if not calls:  # slot 0: user 2 takes in the flipped combination
+            payloads = payloads.copy()
+            payloads[1] = (
+                payloads[1] + store.combine(flipped(first)) - store.combine(first)
+            ) % P
+        calls.append(1)
+        return honest_insert(self, residuals, payloads)
 
-    monkeypatch.setattr(UserState, "receive", receive)
+    monkeypatch.setattr(UserBases, "insert", insert)
     assert not verify_payload_run(store, schedule)
+    calls.clear()
     # every sender stays honest, so only the final decode sees it
     with pytest.raises(PayloadMismatch, match="decoded payloads differ") as caught:
         run_schedule(tree_topology, schedule, store)
