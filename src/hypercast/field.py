@@ -17,6 +17,7 @@ P = 2_147_483_647  # prime 2**31 - 1
 __all__ = [
     "P",
     "inv_mod",
+    "inv_mod_many",
     "unit_vector",
     "rank_mod",
     "nonsingular_mod",
@@ -30,6 +31,20 @@ def inv_mod(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse mod P")
     return pow(a, -1, P)
+
+
+def inv_mod_many(values: list[int]) -> list[int]:
+    """Inverses modulo P of many values with one pow (Montgomery's trick):
+    invert the product of them all, then peel one factor off at a time."""
+    prefix = [1]
+    for a in values:
+        prefix.append(prefix[-1] * a % P)
+    inv = inv_mod(prefix[-1])  # raises ZeroDivisionError if a value is 0 mod P
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % P
+        inv = inv * values[i] % P
+    return out
 
 
 def unit_vector(dim: int, row: int) -> np.ndarray:
@@ -165,7 +180,7 @@ class UserBases:
         g = np.arange(users.size)
         new_rows = residuals[users]
         q = (new_rows != 0).argmax(axis=1)  # the smallest residual coordinate
-        inv = np.array([pow(a, -1, P) for a in new_rows[g, q].tolist()], dtype=np.int64)
+        inv = np.array(inv_mod_many(new_rows[g, q].tolist()), dtype=np.int64)
         new_rows = new_rows * inv[:, None] % P
         new = self.rows + g
         self.rows += users.size

@@ -1,10 +1,12 @@
 """Instance, plan, transcript, and experiment serialization.
 
 Instance files are JSON with a frozen schema (format_version 1): user
-holdings plus optional payload_length and metadata.  Serialization is
-canonical (sorted keys, two-space indent, trailing newline), so equal
-instances always produce identical bytes; the digest hashes the
-canonical form without metadata.
+holdings plus optional payload_length and metadata.  Every document is
+written in one canonical form, exactly json.dumps(doc, indent=2,
+sort_keys=True) + "\n", so equal instances always produce identical
+bytes; the digest hashes the canonical form without metadata.
+dumps_document writes that form with the C JSON encoder: before Python
+3.13, json.dumps indents with a pure-Python encoder that is much slower.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ from .sim import Transcript
 from .topology import StorageTopology
 
 FORMAT_VERSION = 1
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -53,7 +57,52 @@ def instance_document(topology: StorageTopology, metadata: Mapping | None = None
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document: exactly
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    The C encoder does not indent (before Python 3.13), so here Python
+    walks the containers that hold other containers.  Each container of
+    scalars is one call to the C encoder, whose item separator carries
+    the newline and indent of the container's depth; so are the keys and
+    scalar values of each dict that holds a container.
+    """
+    levels: list[tuple] = []  # per depth: the C encode, the item break, the closing break
+
+    def write(value, depth: int) -> str:
+        if depth == len(levels):  # the first container this deep
+            inner = "\n" + _INDENT * (depth + 1)
+            encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+            levels.append((encoder.encode, inner, "\n" + _INDENT * depth))
+        encode, inner, outer = levels[depth]
+        if not isinstance(value, _CONTAINERS) or not value:
+            return encode(value)  # a scalar, [] or {}
+        if isinstance(value, dict):
+            nested = [k for k, v in value.items() if isinstance(v, _CONTAINERS)]
+            if nested:
+                # one C call writes every key, and every scalar value, one
+                # item a line in the order of sorted(value.items()): it
+                # sorts the same keys in the same order, and its strings
+                # escape newlines; a container goes in place of its 0
+                lines = encode({**value, **dict.fromkeys(nested, 0)})[1:-1].split("," + inner)
+                body = [
+                    line[:-1] + write(v, depth + 1) if isinstance(v, _CONTAINERS) else line
+                    for line, (_, v) in zip(lines, sorted(value.items()))
+                ]
+                return "{" + inner + ("," + inner).join(body) + outer + "}"
+            text = encode(value)
+        else:
+            # a list of scalars costs less to encode than to scan; a
+            # second bracket in its text comes from a container in it,
+            # or from a string, so only then is it scanned
+            text = "" if isinstance(value[0], _CONTAINERS) else encode(value)
+            if not text or (text.find("[", 1) > 0 or "{" in text) and any(
+                isinstance(v, _CONTAINERS) for v in value
+            ):
+                body = [write(v, depth + 1) for v in value]
+                return "[" + inner + ("," + inner).join(body) + outer + "]"
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+
+    return write(doc, 0) + "\n"
 
 
 def dumps_instance(topology: StorageTopology, metadata: Mapping | None = None) -> str:
@@ -98,9 +147,11 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
     if payload_length is not None:
         payload_length = _integer(payload_length, "payload_length")
     topology = StorageTopology(num_segments, holdings, payload_length)
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
-        raise ValueError("metadata must be an object")
+    metadata = doc.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be an object, got {metadata!r}")
     return topology, metadata
 
 

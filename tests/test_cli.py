@@ -142,6 +142,15 @@ def test_coerced_instance_field_exits_2(capsys, tmp_path):
     assert code == 2 and "num_users must be an integer" in err
 
 
+def test_non_object_metadata_exits_2(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "tree-instance.json").read_text())
+    doc["metadata"] = []
+    path = tmp_path / "metadata.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--in", str(path))
+    assert code == 2 and "metadata must be an object" in err
+
+
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
     tr_path = tmp_path / "tr.json"

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import ColumnBasis
 from hypercast import (
@@ -25,7 +25,7 @@ from hypercast import (
     nonsingular_mod,
     rank_mod,
 )
-from hypercast.field import unit_vector
+from hypercast.field import inv_mod_many, unit_vector
 from hypercast.sim import SegmentStore, materialize_payloads
 
 
@@ -97,6 +97,18 @@ def test_inverse_round_trip():
         inv_mod(0)
     with pytest.raises(ZeroDivisionError):
         inv_mod(P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, P - 1), min_size=1, max_size=40), st.integers(min_value=0))
+@example([1], 0)
+@example([P - 1], 1)
+@example([1, P - 1, 2], 1)
+def test_inv_mod_many_matches_one_pow_per_value(values, at):
+    assert inv_mod_many(values) == [pow(a, -1, P) for a in values]
+    with_zero = values[:at] + [0] + values[at:]
+    with pytest.raises(ZeroDivisionError):
+        inv_mod_many(with_zero)
 
 
 def test_vector_helpers():

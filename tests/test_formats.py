@@ -3,14 +3,18 @@ were produced directly with the standard json module."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypercast import StorageTopology, dbqt_schedule
 from hypercast.formats import (
+    dumps_document,
     dumps_instance,
     experiment_csv,
     instance_digest,
+    instance_document,
     loads_instance,
     parse_instance,
     plan_document,
@@ -69,7 +73,6 @@ def test_parse_rejects_malformed_documents(tree_topology):
     bad = dict(good); bad["users"] = "nope"; cases.append(bad)
     bad = dict(good); bad["users"] = good["users"][:-1]; cases.append(bad)
     bad = dict(good); bad["users"] = good["users"] + [good["users"][0]]; cases.append(bad)
-    bad = dict(good); bad["metadata"] = [1]; cases.append(bad)
     cases.append([])
     for doc in cases:
         with pytest.raises(ValueError):
@@ -120,6 +123,18 @@ def test_parse_rejects_non_integer_payload_length(good_doc, value):
         parse_instance(good_doc)
 
 
+@pytest.mark.parametrize("value", [[], 0, False, "", [1], "x"])
+def test_parse_rejects_non_object_metadata(good_doc, value):
+    good_doc["metadata"] = value
+    with pytest.raises(ValueError, match="metadata must be an object"):
+        parse_instance(good_doc)
+
+
+def test_parse_reads_null_metadata_as_empty(good_doc):
+    good_doc["metadata"] = None
+    assert parse_instance(good_doc)[1] == {}
+
+
 def test_plan_document_shape(tree_topology):
     plan = dbqt_schedule(tree_topology)
     doc = plan_document(plan)
@@ -158,3 +173,82 @@ def test_experiment_csv_format():
     assert lines[1] == "6,16,14.2500,13,15,14.0000,0"
     assert lines[2] == "8,24,21.5000,21,22,21.1250,0"
     assert text.endswith("\n")
+
+
+def _stdlib_canonical(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# the stdlib writes subclasses of tuple and dict as their bases
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    # every code point, lone surrogates and control characters included
+    | st.text(st.characters(blacklist_categories=()), max_size=6)
+)
+# keys of one dict must compare with each other for sort_keys
+_number_keys = st.integers(-(2**80), 2**80) | st.floats() | st.booleans()
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4).map(_Tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(_Dict)
+    | st.dictionaries(_number_keys, inner, max_size=4)
+    | st.dictionaries(st.none(), inner, max_size=1),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+@example([0, {"a": 1}])  # a container after a scalar, without a "["
+@example((0, ["a"], {}))
+@example(["[", "{", 1])  # brackets in strings only
+@example({2: {1: [3]}, 1: []})
+def test_dumps_document_is_the_stdlib_canonical_form(doc):
+    assert dumps_document(doc) == _stdlib_canonical(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {(1, 2): 3},
+    {(1, 2): [3]},
+    {"a": [1], 2: [3]},
+    {"a": {1: 2, "b": 3}},
+    [{"a": object()}],
+])
+def test_dumps_document_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError):
+        _stdlib_canonical(doc)
+    with pytest.raises(TypeError):
+        dumps_document(doc)
+
+
+def test_dumps_document_does_not_run_the_pure_python_encoder(monkeypatch, tree_topology):
+    plan = dbqt_schedule(tree_topology)
+    docs = [
+        instance_document(tree_topology, {"seed": 1}),
+        plan_document(plan),
+        transcript_document(run_schedule(tree_topology, plan.schedule)),
+    ]
+    expected = [_stdlib_canonical(doc) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    # json.dumps(indent=...) builds its encoder here on the interpreters
+    # whose C encoder cannot indent
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [dumps_document(doc) for doc in docs] == expected
