@@ -60,7 +60,6 @@ from .hypergraph import (
     Hypergraph,
     MinCut,
     MinCutLimitError,
-    WalkKind,
 )
 from .sim import (
     Broadcast,
@@ -74,7 +73,7 @@ from .sim import (
     uncoded_broadcast,
     verify_payload_run,
 )
-from .topology import StorageTopology, ValidationReport, from_hypergraph
+from .topology import StorageTopology, from_hypergraph
 
 __version__ = "0.1.0"
 
@@ -103,8 +102,6 @@ __all__ = [
     "StorageTopology",
     "Transcript",
     "UserState",
-    "ValidationReport",
-    "WalkKind",
     "add_cycle_edges",
     "dbqt_general",
     "dbqt_schedule",

@@ -131,7 +131,7 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
         raise ValueError(f"malformed instance document: {exc}") from exc
     if not isinstance(users, list):
         raise ValueError("users must be a list")
-    holdings: dict[int, list[int]] = {}
+    holdings: dict[int, set[int]] = {}
     for entry in users:
         if not isinstance(entry, dict) or "id" not in entry or "segments" not in entry:
             raise ValueError(f"malformed user entry: {entry!r}")
@@ -140,7 +140,13 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
             raise ValueError(f"duplicate user id {uid}")
         if not isinstance(entry["segments"], list):
             raise ValueError(f"user {uid}: segments must be a list")
-        holdings[uid] = [_integer(w, f"user {uid} segment id") for w in entry["segments"]]
+        segments: set[int] = set()
+        for w in entry["segments"]:
+            w = _integer(w, f"user {uid} segment id")
+            if w in segments:
+                raise ValueError(f"user {uid} lists segment {w} twice")
+            segments.add(w)
+        holdings[uid] = segments
     if sorted(holdings) != list(range(1, num_users + 1)):
         raise ValueError(f"user ids must be exactly 1..{num_users}")
     payload_length = doc.get("payload_length")

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 MAX_EXHAUSTIVE_VERTICES = 24
 
@@ -20,7 +19,6 @@ __all__ = [
     "Edge",
     "Cut",
     "MinCut",
-    "WalkKind",
     "Hypergraph",
     "MinCutLimitError",
     "MAX_EXHAUSTIVE_VERTICES",
@@ -68,42 +66,20 @@ class MinCut:
     witness: frozenset[int]
 
 
-class WalkKind(str, Enum):
-    INVALID = "invalid"
-    WALK = "walk"
-    PATH = "path"
-    CYCLE = "cycle"
-    LOOSE_PATH = "loose-path"
-
-
-def _as_edge_pairs(edges) -> Iterable[tuple[frozenset[int], int]]:
-    for item in edges:
-        if isinstance(item, Edge):
-            yield item.vertices, item.weight
-        elif (
-            isinstance(item, (tuple, list))
-            and len(item) == 2
-            and isinstance(item[1], int)
-            and not isinstance(item[0], int)
-        ):
-            yield frozenset(item[0]), item[1]
-        else:
-            yield frozenset(item), 1
-
-
 class Hypergraph:
-    """Immutable weighted hypergraph."""
+    """Immutable weighted hypergraph; edges are (vertex set, weight) pairs."""
 
     __slots__ = ("_vertices", "_weights", "_edges")
 
-    def __init__(self, vertices: Iterable[int], edges=()):
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[Iterable[int], int]] = ()):
         vs = frozenset(int(v) for v in vertices)
         if not vs:
             raise ValueError("hypergraph needs at least one vertex")
         if any(v < 1 for v in vs):
             raise ValueError("vertex ids must be positive integers")
         weights: dict[frozenset[int], int] = {}
-        for eset, w in _as_edge_pairs(edges):
+        for vset, w in edges:
+            eset = frozenset(vset)
             if not eset <= vs:
                 raise ValueError(f"edge {sorted(eset)} uses unknown vertices")
             if len(eset) < 2:
@@ -159,20 +135,11 @@ class Hypergraph:
 
     # -- construction of derived graphs --------------------------------
 
-    def with_edge(self, vset: Iterable[int], weight: int = 1) -> "Hypergraph":
-        return Hypergraph(self._vertices, list(self._edges) + [(frozenset(vset), weight)])
-
     def without_edge(self, vset: Iterable[int]) -> "Hypergraph":
         key = frozenset(vset)
         if key not in self._weights:
             raise ValueError(f"no edge on {sorted(key)}")
-        return Hypergraph(self._vertices, [e for e in self._edges if e.vertices != key])
-
-    def largest_partial(self, vsub: Iterable[int]) -> "Hypergraph":
-        """Sub-hypergraph keeping exactly the edges inside vsub."""
-        sub = frozenset(vsub)
-        self._check_subset(sub)
-        return Hypergraph(sub, [e for e in self._edges if e.vertices <= sub])
+        return Hypergraph(self._vertices, [kv for kv in self._weights.items() if kv[0] != key])
 
     def induced(self, vsub: Iterable[int]) -> "Hypergraph":
         """Induced sub-hypergraph: edges are intersections with vsub.
@@ -245,55 +212,6 @@ class Hypergraph:
         if not self.is_connected():
             return False
         return not any(self.connected_without(e.vertices) for e in self._edges)
-
-    # -- walks ----------------------------------------------------------
-
-    def classify_walk(self, seq: Sequence) -> WalkKind:
-        """Strongest label for an alternating vertex/edge sequence.
-
-        The sequence must read v1, e1, v2, e2, ..., vn, en, v(n+1) with
-        each consecutive vertex pair inside its edge and every edge
-        present in the hypergraph; anything else is invalid.
-        """
-        items = list(seq)
-        if len(items) < 3 or len(items) % 2 == 0:
-            return WalkKind.INVALID
-        verts = items[0::2]
-        raw_edges = items[1::2]
-        for v in verts:
-            if not isinstance(v, int) or v not in self._vertices:
-                return WalkKind.INVALID
-        edges: list[frozenset[int]] = []
-        for item in raw_edges:
-            if isinstance(item, Edge):
-                eset = item.vertices
-            else:
-                try:
-                    eset = frozenset(int(v) for v in item)
-                except TypeError:
-                    return WalkKind.INVALID
-            if eset not in self._weights:
-                return WalkKind.INVALID
-            edges.append(eset)
-        for i, eset in enumerate(edges):
-            if verts[i] not in eset or verts[i + 1] not in eset:
-                return WalkKind.INVALID
-        n = len(edges)
-        closed = verts[0] == verts[-1]
-        # distinctness excludes the repeated endpoint of a closed walk
-        inner = verts[:-1] if closed else verts
-        if len(set(edges)) != n or len(set(inner)) != len(inner):
-            return WalkKind.WALK
-        if closed:
-            return WalkKind.CYCLE
-        for i in range(n - 1):
-            if edges[i] & edges[i + 1] != {verts[i + 1]}:
-                return WalkKind.PATH
-        for i in range(n):
-            for j in range(i + 2, n):
-                if edges[i] & edges[j]:
-                    return WalkKind.PATH
-        return WalkKind.LOOSE_PATH
 
     # -- cuts -----------------------------------------------------------
 

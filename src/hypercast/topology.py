@@ -8,26 +8,13 @@ edge and are reported separately as leftovers.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .hypergraph import Hypergraph
 
 PlacementMap = dict  # frozenset[int] -> tuple[int, ...]
 
-__all__ = ["StorageTopology", "ValidationReport", "PlacementMap", "from_hypergraph"]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    coverage_ok: bool
-    missing_segments: tuple[int, ...]
-    holder_histogram: dict[int, int]
-    singleton_segments: tuple[int, ...]
-    universal_segments: tuple[int, ...]
-    connected: bool
-    quasi_tree: bool
+__all__ = ["StorageTopology", "PlacementMap", "from_hypergraph"]
 
 
 class StorageTopology:
@@ -99,30 +86,6 @@ class StorageTopology:
         if not isinstance(v, int) or not 1 <= v <= self.num_users:
             raise ValueError(f"user {v!r} outside 1..{self.num_users}")
 
-    # -- set algebra over user groups -----------------------------------
-
-    def segments_for(self, group: Iterable[int]) -> frozenset[int]:
-        """Segments held by every user in the group and nobody outside it."""
-        g = self._check_group(group)
-        out = set.intersection(*(set(self._holdings[v - 1]) for v in g))
-        for v in self.users:
-            if v not in g:
-                out -= self._holdings[v - 1]
-        return frozenset(out)
-
-    def union_storage(self, group: Iterable[int]) -> frozenset[int]:
-        """Segments held by at least one user in the group."""
-        g = self._check_group(group)
-        return frozenset().union(*(self._holdings[v - 1] for v in g))
-
-    def _check_group(self, group) -> frozenset[int]:
-        g = frozenset(group)
-        if not g:
-            raise ValueError("user group must be nonempty")
-        for v in g:
-            self._check_user(v)
-        return g
-
     # -- hypergraph model -----------------------------------------------
 
     def to_hypergraph(self):
@@ -148,28 +111,6 @@ class StorageTopology:
         }
         h = Hypergraph(self.users, [(hs, len(ws)) for hs, ws in placement.items()])
         return h, placement, leftovers
-
-    def validate(self) -> ValidationReport:
-        """Coverage and structure report; never raises on bad coverage."""
-        V = self.num_users
-        missing = tuple(w for w in range(1, self._num_segments + 1) if not self._holders[w])
-        hist = Counter(len(self._holders[w]) for w in range(1, self._num_segments + 1))
-        singles = tuple(w for w in self._holders if len(self._holders[w]) == 1)
-        universal = tuple(w for w in self._holders if self._holders[w] and len(self._holders[w]) == V)
-        groups: dict[frozenset[int], int] = {}
-        for w, hs in self._holders.items():
-            if 2 <= len(hs) <= V - 1:
-                groups[hs] = groups.get(hs, 0) + 1
-        h = Hypergraph(self.users, list(groups.items()))
-        return ValidationReport(
-            coverage_ok=not missing,
-            missing_segments=missing,
-            holder_histogram=dict(sorted(hist.items())),
-            singleton_segments=singles,
-            universal_segments=universal,
-            connected=h.is_connected(),
-            quasi_tree=h.is_quasi_tree(),
-        )
 
     # -- misc ------------------------------------------------------------
 

@@ -151,6 +151,17 @@ def test_non_object_metadata_exits_2(capsys, tmp_path):
     assert code == 2 and "metadata must be an object" in err
 
 
+def test_repeated_segment_id_exits_2(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "tree-instance.json").read_text())
+    doc["users"][1]["segments"].append(doc["users"][1]["segments"][0])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    segment = doc["users"][1]["segments"][0]
+    assert code == 2 and out == ""
+    assert f"user {doc['users'][1]['id']} lists segment {segment} twice" in err
+
+
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
     tr_path = tmp_path / "tr.json"

@@ -73,6 +73,7 @@ def test_parse_rejects_malformed_documents(tree_topology):
     bad = dict(good); bad["users"] = "nope"; cases.append(bad)
     bad = dict(good); bad["users"] = good["users"][:-1]; cases.append(bad)
     bad = dict(good); bad["users"] = good["users"] + [good["users"][0]]; cases.append(bad)
+    bad = json.loads(json.dumps(good)); bad["users"][0]["segments"] *= 2; cases.append(bad)
     cases.append([])
     for doc in cases:
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercast import Edge, Hypergraph, MinCutLimitError, WalkKind
+from hypercast import Edge, Hypergraph, MinCutLimitError
 from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
 from hypercast.hypergraph import MAX_EXHAUSTIVE_VERTICES
 from conftest import random_subset
@@ -121,15 +121,15 @@ def test_equality_and_hash():
 
 def test_with_and_without_edge():
     h = Hypergraph([1, 2, 3], [({1, 2}, 1)])
-    h2 = h.with_edge({1, 2}, 2)
-    assert h2.weight_of({1, 2}) == 3
-    h3 = h2.with_edge({2, 3})
+    # the constructor merges a repeated vertex set by summing weights
+    h3 = Hypergraph([1, 2, 3], [({1, 2}, 1), ({1, 2}, 2), ({2, 3}, 1)])
+    assert h3.weight_of({1, 2}) == 3
     assert h3.weight_of({2, 3}) == 1
     assert h3.without_edge({1, 2}).edge_sets == frozenset({frozenset({2, 3})})
     with pytest.raises(ValueError):
         h.without_edge({2, 3})
     # connected_without answers for the graph that without_edge would build
-    tri = h3.with_edge({1, 3})
+    tri = Hypergraph([1, 2, 3], [({1, 2}, 3), ({2, 3}, 1), ({1, 3}, 1)])
     for g in (h3, tri):
         for e in g.edges:
             assert g.connected_without(e.vertices) == g.without_edge(e.vertices).is_connected()
@@ -151,19 +151,6 @@ def test_degree_on_cyclic_example(cyclic_h):
 
 def test_incident_order(cyclic_h):
     assert [e.key for e in cyclic_h.incident(3)] == [(1, 2, 3), (2, 3), (3, 5, 6)]
-
-
-def test_largest_partial_matches_filter_oracle(cyclic_h):
-    sub = cyclic_h.largest_partial({1, 2, 3})
-    assert sub.vertices == frozenset({1, 2, 3})
-    assert sub.edge_sets == frozenset({frozenset({1, 2, 3}), frozenset({2, 3})})
-    rng = random.Random(3)
-    for _ in range(50):
-        h = random_hypergraph(rng, 7, 6)
-        u = random_subset(rng, h.vertices, 1, 7)
-        expected = {e.vertices: e.weight for e in h.edges if e.vertices <= u}
-        got = h.largest_partial(u)
-        assert {e.vertices: e.weight for e in got.edges} == expected
 
 
 def test_induced_on_cyclic_example(cyclic_h):
@@ -223,42 +210,6 @@ def test_ordinary_trees_are_quasi_trees():
         n = rng.randint(2, 10)
         edges = [({rng.randint(1, v - 1), v}, rng.randint(1, 4)) for v in range(2, n + 1)]
         assert Hypergraph(range(1, n + 1), edges).is_quasi_tree()
-
-
-# -- walks --------------------------------------------------------------
-
-
-def test_classify_walk_frozen_cases(cyclic_h, tree_h):
-    loose = [2, {2, 3}, 3, {3, 5, 6}, 5, {4, 5}, 4]
-    assert tree_h.classify_walk(loose) is WalkKind.LOOSE_PATH
-    # consecutive edges overlap in two vertices: a path but not loose
-    assert cyclic_h.classify_walk([1, {1, 2, 3}, 2, {2, 3}, 3]) is WalkKind.PATH
-    tri = Hypergraph([1, 2, 3], [({1, 2}, 1), ({2, 3}, 1), ({1, 3}, 1)])
-    assert tri.classify_walk([1, {1, 2}, 2, {2, 3}, 3, {1, 3}, 1]) is WalkKind.CYCLE
-    # repeated edge downgrades to a bare walk
-    assert tri.classify_walk([1, {1, 2}, 2, {1, 2}, 1]) is WalkKind.WALK
-    # repeated interior vertex downgrades as well
-    assert tree_h.classify_walk([3, {2, 3}, 2, {2, 3}, 3]) is WalkKind.WALK
-
-
-def test_classify_walk_invalid_cases(tree_h):
-    assert tree_h.classify_walk([]) is WalkKind.INVALID
-    assert tree_h.classify_walk([3]) is WalkKind.INVALID
-    assert tree_h.classify_walk([3, {2, 3}]) is WalkKind.INVALID
-    assert tree_h.classify_walk([3, {2, 3}, 9]) is WalkKind.INVALID
-    assert tree_h.classify_walk([3, {3, 9}, 9]) is WalkKind.INVALID
-    # vertex not inside its edge
-    assert tree_h.classify_walk([1, {2, 3}, 3]) is WalkKind.INVALID
-    # non-consecutive edges meeting keeps a path from being loose
-    h = Hypergraph(
-        range(1, 6), [({1, 2}, 1), ({2, 3}, 1), ({3, 4}, 1), ({4, 1, 5}, 1)]
-    )
-    seq = [1, {1, 2}, 2, {2, 3}, 3, {3, 4}, 4, {1, 4, 5}, 5]
-    assert h.classify_walk(seq) is WalkKind.PATH
-
-
-def test_single_edge_walk_is_loose(tree_h):
-    assert tree_h.classify_walk([3, {3, 5, 6}, 6]) is WalkKind.LOOSE_PATH
 
 
 # -- cuts ---------------------------------------------------------------
@@ -431,5 +382,6 @@ def test_min_cut_monotone_under_weight_increase():
             continue
         base = h.min_cut(method="exhaustive").capacity
         e = h.edges[rng.randrange(len(h.edges))]
-        bumped = h.with_edge(e.vertices, 3)
+        pairs = [(f.vertices, f.weight) for f in h.edges]
+        bumped = Hypergraph(h.vertices, pairs + [(e.vertices, 3)])
         assert bumped.min_cut(method="exhaustive").capacity >= base

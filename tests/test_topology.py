@@ -1,5 +1,5 @@
-"""Storage topology tests: exact-holder set algebra, the hypergraph
-model round trip, and validation reports."""
+"""Storage topology tests: construction, accessors and the hypergraph
+model round trip."""
 from __future__ import annotations
 
 import random
@@ -7,7 +7,6 @@ import random
 import pytest
 
 from hypercast import Hypergraph, StorageTopology, from_hypergraph
-from conftest import CYCLIC_HOLDINGS, TREE_HOLDINGS
 
 
 def test_constructor_validation():
@@ -38,38 +37,6 @@ def test_basic_accessors(cyclic_topology):
         t.holding(0)
     with pytest.raises(ValueError):
         t.holders_of(6)
-
-
-def test_segments_for_exact_holder_groups(cyclic_topology):
-    t = cyclic_topology
-    assert t.segments_for({1, 2, 3}) == frozenset({1})
-    assert t.segments_for({3, 5, 6}) == frozenset({4})
-    assert t.segments_for({1, 4}) == frozenset({2})
-    # {1,2} intersect to {1} but user 3 also stores it
-    assert t.segments_for({1, 2}) == frozenset()
-    assert t.segments_for({6}) == frozenset()
-    with pytest.raises(ValueError):
-        t.segments_for([])
-
-
-def test_segments_for_matches_brute_force(cyclic_topology, tree_topology):
-    rng = random.Random(5)
-    for t in (cyclic_topology, tree_topology):
-        users = list(t.users)
-        for _ in range(60):
-            g = set(rng.sample(users, rng.randint(1, len(users))))
-            expect = {
-                w
-                for w in range(1, t.num_segments + 1)
-                if t.holders_of(w) == frozenset(g)
-            }
-            # exact-holder semantics: members hold it, outsiders do not
-            assert t.segments_for(g) == frozenset(expect)
-
-
-def test_union_storage(cyclic_topology):
-    assert cyclic_topology.union_storage({1, 6}) == frozenset({1, 2, 4})
-    assert cyclic_topology.union_storage({6}) == frozenset({4})
 
 
 def test_to_hypergraph_cyclic_example(cyclic_topology, cyclic_h):
@@ -109,25 +76,6 @@ def test_to_hypergraph_rejects_uncovered_segment():
     t = StorageTopology(2, {1: {1}, 2: ()})
     with pytest.raises(ValueError):
         t.to_hypergraph()
-
-
-def test_validate_reports(cyclic_topology):
-    rep = cyclic_topology.validate()
-    assert rep.coverage_ok
-    assert rep.missing_segments == ()
-    assert rep.holder_histogram == {2: 3, 3: 2}
-    assert rep.singleton_segments == ()
-    assert rep.universal_segments == ()
-    assert rep.connected and not rep.quasi_tree
-
-    bad = StorageTopology(3, {1: {1}, 2: (), 3: ()})
-    rep = bad.validate()
-    assert not rep.coverage_ok
-    assert rep.missing_segments == (2, 3)
-    assert rep.singleton_segments == (1,)
-
-    tree = StorageTopology(4, TREE_HOLDINGS)
-    assert tree.validate().quasi_tree
 
 
 def test_from_hypergraph_default_placement(tree_h, tree_topology):
