@@ -147,7 +147,8 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
                 raise ValueError(f"user {uid} lists segment {w} twice")
             segments.add(w)
         holdings[uid] = segments
-    if sorted(holdings) != list(range(1, num_users + 1)):
+    # the count is checked against the file before any range is built
+    if num_users != len(holdings) or sorted(holdings) != list(range(1, num_users + 1)):
         raise ValueError(f"user ids must be exactly 1..{num_users}")
     payload_length = doc.get("payload_length")
     if payload_length is not None:

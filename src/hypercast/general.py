@@ -1,11 +1,12 @@
 """Coded broadcast on general hypergraphs via quasi-tree reduction.
 
-Redundant edges (those whose removal keeps the model connected) are
-greedily stripped until a spanning quasi-tree remains; the quasi-tree
-planner then runs with the users' full storage, and any segment still
-missing somewhere afterward is broadcast uncoded.  The total never
-exceeds W and never beats the min-cut lower bound W - delta of the
-original model.
+On a connected model, redundant edges (those whose removal keeps it
+connected) are greedily stripped until a spanning quasi-tree remains,
+and the quasi-tree planner runs on it with the users' full storage.
+Any segment some user still lacks afterward, on any model, is then
+broadcast uncoded; a segment every user stores is never sent.  The
+total never exceeds W and never beats the lower bound w(E) - c, the
+model's total edge weight minus its min cut.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Iterator
 from .dbqt import ordered_representatives, phase_schedule, plan_phases
 from .generators import GenConfig, add_cycle_edges, derive_seed, random_quasi_tree
 from .hypergraph import Edge, Hypergraph
-from .sim import SegmentStore, Transcript, naive_schedule, run_schedule
+from .sim import SegmentStore, Transcript, run_schedule
 from .topology import StorageTopology, from_hypergraph
 
 __all__ = [
@@ -83,36 +84,27 @@ def dbqt_general(
     """Plan and verify a schedule for an arbitrary topology.
 
     The lower bound is the total edge weight minus the min cut, taken
-    once by its default route.  Disconnected models fall back
-    to one uncoded broadcast per segment.  Connected models run the
-    quasi-tree planner on a spanning reduction (blocks drawn from full
-    storage), then sweep still-missing segments uncoded in the same
-    simulated run (on payloads too with a `store`), whose transcript
-    (with the schedule) is returned.  The run must complete; the result
-    satisfies lower_bound <= total <= W.
+    once by its default route (0 with one user).  A positive cut means a
+    connected model: the quasi-tree planner runs on its spanning
+    reduction, with blocks drawn from full storage.  One simulated run
+    (on payloads too with a `store`) then sends each segment some user
+    still lacks uncoded, so a segment every user stores is never sent;
+    its transcript (with the schedule) is returned.  The run must
+    complete; the result satisfies lower_bound <= total <= W.
     """
-    W = topology.num_segments
-    if topology.num_users == 1 or W == 0:
-        return GeneralRunResult(0, 0, 0, 0, 0), run_schedule(topology, [], store)
     h, placement, _leftovers = topology.to_hypergraph()
-    cut = h.min_cut().capacity
-    lower = h.total_weight - cut
-    if cut == 0:  # disconnected
-        transcript = run_schedule(topology, naive_schedule(topology), store)
-        assert transcript.complete
-        return GeneralRunResult(W, 0, W, lower, cut), transcript
-
-    reduction = spanning_quasi_tree(h)
-    kept_placement = {vs: placement[vs] for vs in reduction.kept.edge_sets}
-    reps = ordered_representatives(reduction.kept)
-    phases = plan_phases(topology, reduction.kept, kept_placement, reps)
-    coded = phase_schedule(topology, phases)
+    cut = h.min_cut().capacity if topology.num_users >= 2 else 0
+    coded = []
+    if cut:
+        tree = spanning_quasi_tree(h).kept
+        phases = plan_phases(topology, tree, placement, ordered_representatives(tree))
+        coded = phase_schedule(topology, phases)
     transcript = run_schedule(topology, coded, store, completion=True)
     if not transcript.complete:
         raise RuntimeError("schedule failed to complete; planner invariant broken")
     total = transcript.num_broadcasts
-    result = GeneralRunResult(total, len(coded), total - len(coded), lower, cut)
-    assert result.lower_bound <= result.total_broadcasts <= W
+    result = GeneralRunResult(total, len(coded), total - len(coded), h.total_weight - cut, cut)
+    assert result.lower_bound <= result.total_broadcasts <= topology.num_segments
     return result, transcript
 
 

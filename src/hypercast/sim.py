@@ -123,22 +123,19 @@ def run_schedule(
     slots run out, every decoded payload is compared with the store.
     Either check raises PayloadMismatch.  With `completion`, each
     segment some user still lacks once `schedule` runs out is then
-    broadcast uncoded, in ascending order.  Each record counts the model
-    edges (holder sets of 2 to V - 1 users) still carrying a segment not
-    every user has decoded; a segment stored nowhere is refused.
-    `on_slot(states, record)` runs after every slot.
+    broadcast uncoded, in ascending order, so a segment every user
+    stores is never sent.  Each record counts the model edges (holder
+    sets of 2 to V - 1 users) still carrying a segment not every user
+    has decoded.  `on_slot(states, record)` runs after every slot.
     """
     V, W = topology.num_users, topology.num_segments
-    if W > MAX_SIM_SEGMENTS:
-        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
+    _check_segment_limit(W)
     # known[c]: users that have decoded segment c + 1, V once all have
     known: list[int] = []
     edges: dict[frozenset[int], int] = {}  # the model edges: holder sets of 2..V-1 users
     edge_of: dict[int, int] = {}  # coordinate -> its model edge
     for w in range(1, W + 1):
         holders = topology.holders_of(w)
-        if not holders:
-            raise ValueError(f"segment {w} is stored nowhere")
         known.append(len(holders))
         if 2 <= len(holders) < V:
             edge_of[w - 1] = edges.setdefault(holders, len(edges))
@@ -208,11 +205,14 @@ def run_schedule(
     return Transcript(V, W, initial_ranks, records, all(r == W for r in bases.rank.tolist()), states)
 
 
+def _check_segment_limit(W: int):
+    if W > MAX_SIM_SEGMENTS:
+        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
+
+
 def uncoded_broadcast(topology: StorageTopology, slot: int, w: int) -> Broadcast:
     """Broadcast of the plain segment w by its lowest-id holder."""
     holders = topology.holders_of(w)
-    if not holders:
-        raise ValueError(f"segment {w} is stored nowhere")
     coefficients = [0] * topology.num_segments
     coefficients[w - 1] = 1
     return Broadcast(slot, min(holders), tuple(coefficients))
@@ -256,8 +256,10 @@ class SegmentStore:
 
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
-    """Draw random payload columns, re-sampling until independent."""
+    """Draw random payload columns, re-sampling until independent; an
+    instance with more segments than the simulator takes is refused first."""
     W = topology.num_segments
+    _check_segment_limit(W)
     L = topology.payload_length if topology.payload_length is not None else W + 1
     if L <= W:
         raise ValueError(f"payload length {L} must exceed num_segments {W}")

@@ -18,7 +18,8 @@ __all__ = ["StorageTopology", "PlacementMap", "from_hypergraph"]
 
 
 class StorageTopology:
-    """Immutable map from users 1..V to stored segment subsets of 1..W."""
+    """Immutable map from users 1..V to stored segment subsets of 1..W;
+    every segment must be stored by some user."""
 
     __slots__ = ("_num_segments", "_holdings", "_payload_length", "_holders")
 
@@ -47,6 +48,10 @@ class StorageTopology:
                 raise ValueError(
                     f"payload_length must exceed num_segments={num_segments}, got {payload_length!r}"
                 )
+        covered = frozenset().union(*held)
+        if len(covered) < num_segments:
+            w = next(w for w in range(1, num_segments + 1) if w not in covered)
+            raise ValueError(f"segment {w} is stored nowhere")
         self._num_segments = num_segments
         self._holdings = tuple(held)
         self._payload_length = payload_length
@@ -93,15 +98,13 @@ class StorageTopology:
 
         placement maps each edge's vertex set to its sorted segment ids;
         leftovers maps segments with holder count 1 or V (unmodelable)
-        to their holder sets.  Raises if some segment is stored nowhere.
+        to their holder sets.
         """
         V = self.num_users
         groups: dict[frozenset[int], list[int]] = {}
         leftovers: dict[int, frozenset[int]] = {}
         for w in range(1, self._num_segments + 1):
             hs = self._holders[w]
-            if not hs:
-                raise ValueError(f"segment {w} is stored nowhere")
             if len(hs) == 1 or len(hs) == V:
                 leftovers[w] = hs
             else:

@@ -11,6 +11,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from hypercast import Hypergraph, StorageTopology
 
@@ -79,3 +80,15 @@ def disconnected_topology() -> StorageTopology:
 def random_subset(rng: random.Random, items, lo: int, hi: int) -> set[int]:
     size = rng.randint(lo, min(hi, len(items)))
     return set(rng.sample(sorted(items), size))
+
+
+@st.composite
+def topologies(draw):
+    """A small topology with every segment stored by one to V users."""
+    V = draw(st.integers(1, 5))
+    W = draw(st.integers(1, 6))
+    holdings = {v: set() for v in range(1, V + 1)}
+    for w in range(1, W + 1):
+        for v in draw(st.sets(st.integers(1, V), min_size=1, max_size=V)):
+            holdings[v].add(w)
+    return StorageTopology(W, holdings)

@@ -4,11 +4,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
+import types
 
 import pytest
 
 import hypercast.cli
 import hypercast.general
+import hypercast.sim
 from hypercast.cli import main
 from hypercast.formats import loads_instance
 from hypercast.hypergraph import Hypergraph
@@ -162,6 +165,55 @@ def test_repeated_segment_id_exits_2(capsys, tmp_path):
     assert f"user {doc['users'][1]['id']} lists segment {segment} twice" in err
 
 
+def write_doc(tmp_path, num_users, num_segments, holdings):
+    """An instance file written by hand, so it may declare what the
+    users' entries do not bear out."""
+    users = [{"id": v, "segments": sorted(segs)} for v, segs in holdings.items()]
+    path = tmp_path / "hand.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "num_users": num_users, "num_segments": num_segments,
+        "users": users,
+    }))
+    return path
+
+
+@pytest.mark.parametrize("num_users", [10**18, 2**63])
+def test_huge_user_count_exits_2(capsys, tmp_path, num_users):
+    path = write_doc(tmp_path, num_users, 1, {1: {1}, 2: {1}})
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 2 and out == ""
+    assert f"user ids must be exactly 1..{num_users}" in err
+
+
+def test_unheld_segment_is_refused_before_per_segment_work(capsys, tmp_path):
+    path = write_doc(tmp_path, 2, 1_000_000, {1: {1}, 2: ()})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == ""
+    assert "segment 2 is stored nowhere" in err
+    # a holder set per declared segment took seconds here
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
+def test_payload_check_refuses_segment_limit_before_drawing(
+    capsys, monkeypatch, tmp_path, strategy
+):
+    def reached(*_args):
+        raise AssertionError("payloads drawn for an instance the simulator refuses")
+
+    monkeypatch.setattr(hypercast.sim, "random", types.SimpleNamespace(Random=reached))
+    monkeypatch.setattr(hypercast.sim, "rank_mod", reached)
+    W = hypercast.sim.MAX_SIM_SEGMENTS + 1
+    path = write_doc(tmp_path, 2, W, {1: range(1, W + 1), 2: {1}})
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", strategy, "--payload-check"
+    )
+    assert code == 2 and out == ""
+    assert f"simulator supports at most {W - 1} segments, got {W}" in err
+
+
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):
     plan_path = tmp_path / "plan.json"
     tr_path = tmp_path / "tr.json"
@@ -210,6 +262,27 @@ def test_run_naive_takes_one_slot_per_segment(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["num_broadcasts"] == 5 and doc["complete"] is True
+
+
+@pytest.mark.parametrize(
+    "holdings, total, lower_bound",
+    [
+        ({1: {1, 2, 4}, 2: {1, 2, 4}, 3: {3, 4}, 4: {3, 4}}, 3, 3),
+        ({1: {1, 2}, 2: {2, 3}}, 2, None),  # no model edge, so no bound
+    ],
+)
+def test_run_general_skips_segments_every_user_stores(
+    capsys, tmp_path, holdings, total, lower_bound
+):
+    path = write_doc(tmp_path, len(holdings), max(map(max, holdings.values())), holdings)
+    code, out, _ = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt-general", "--payload-check"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["connected"] is False and doc["complete"] is True
+    assert doc["num_broadcasts"] == doc["completion_broadcasts"] == total
+    assert doc.get("lower_bound") == lower_bound
 
 
 @pytest.mark.parametrize("strategy", ["dbqt-general", "naive"])

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import topologies
 from hypercast import Hypergraph, StorageTopology, from_hypergraph
 from hypercast.general import (
     ExperimentConfig,
@@ -15,6 +17,7 @@ from hypercast.general import (
     run_experiment,
     spanning_quasi_tree,
 )
+from hypercast.dbqt import dbqt_schedule
 from hypercast.sim import naive_schedule, run_schedule
 from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
 
@@ -140,12 +143,49 @@ def test_dbqt_general_matches_plain_planner_on_quasi_trees(tree_topology):
     assert run_schedule(tree_topology, transcript.schedule).complete
 
 
-def test_dbqt_general_disconnected_falls_back_to_naive(disconnected_topology):
+def test_dbqt_general_disconnected_sends_each_lacked_segment_uncoded(disconnected_topology):
+    # no segment is stored by every user, so each one goes out once,
+    # from its lowest holder: the naive schedule
     result, transcript = dbqt_general(disconnected_topology)
     assert result.total_broadcasts == disconnected_topology.num_segments
     assert result.dbqt_broadcasts == 0
     assert transcript.schedule == naive_schedule(disconnected_topology)
     assert transcript.complete
+
+
+@pytest.mark.parametrize(
+    "holdings, lower, sent",
+    [
+        # two islands, segment 4 on every user: w(E) - c = 3
+        ({1: {1, 2, 4}, 2: {1, 2, 4}, 3: {3, 4}, 4: {3, 4}}, 3, [(1, 1), (1, 2), (3, 3)]),
+        # two users: segment 2 is on both, and no holder set is an edge
+        ({1: {1, 2}, 2: {2, 3}}, 0, [(1, 1), (2, 3)]),
+    ],
+)
+def test_dbqt_general_never_sends_a_segment_every_user_stores(holdings, lower, sent):
+    topo = StorageTopology(max(map(max, holdings.values())), holdings)
+    result, transcript = dbqt_general(topo)
+    assert transcript.complete
+    assert (result.min_cut, result.lower_bound, result.dbqt_broadcasts) == (0, lower, 0)
+    assert result.total_broadcasts == result.completion_broadcasts == len(sent)
+    assert [(b.sender, b.coefficients.index(1) + 1) for b in transcript.schedule] == sent
+
+
+@settings(max_examples=150, deadline=None)
+@given(topo=topologies())
+def test_property_dbqt_general_on_any_topology(topo):
+    result, transcript = dbqt_general(topo)
+    W = topo.num_segments
+    assert transcript.complete and transcript.num_broadcasts == result.total_broadcasts
+    assert result.lower_bound <= result.total_broadcasts <= W
+    everyone = frozenset(topo.users)
+    for b in transcript.schedule[result.dbqt_broadcasts:]:
+        (w,) = [w for w, c in enumerate(b.coefficients, start=1) if c]
+        assert topo.holders_of(w) != everyone
+    h, _placement, leftovers = topo.to_hypergraph()
+    if h.is_quasi_tree() and not leftovers:
+        delta = min(e.weight for e in h.edges)
+        assert result.total_broadcasts == W - delta == dbqt_schedule(topo).num_broadcasts
 
 
 def test_dbqt_general_trivial_instances():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basis_oracle import ColumnBasis
+from conftest import topologies
 from hypercast import StorageTopology
 from hypercast.field import P, UserBases, rank_mod, unit_vector
 from hypercast.sim import (
@@ -100,9 +101,11 @@ def test_init_states_ranks_and_decoded(tree_topology):
 
 
 def test_init_states_segment_limit():
-    topo = StorageTopology(MAX_SIM_SEGMENTS + 1, {1: {1}, 2: {2}})
-    with pytest.raises(ValueError):
-        run_schedule(topo, [])
+    W = MAX_SIM_SEGMENTS + 1
+    topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: {2}})
+    for refuse in (lambda: run_schedule(topo, []), lambda: materialize_payloads(topo, seed=0)):
+        with pytest.raises(ValueError, match=f"at most {MAX_SIM_SEGMENTS} segments, got {W}"):
+            refuse()
 
 
 def test_apply_broadcast_two_users():
@@ -154,9 +157,9 @@ def test_uncoded_broadcast_positions(tree_topology):
     # holders of 4 are {4, 5}; the lowest id sends
     assert b.sender == 4
     assert b.coefficients == (0, 0, 0, 1)
-    topo = StorageTopology(2, {1: {1}, 2: ()})
-    with pytest.raises(ValueError):
-        uncoded_broadcast(topo, 0, 2)
+    # a segment no user holds has no sender: the topology refuses it
+    with pytest.raises(ValueError, match="segment 2 is stored nowhere"):
+        StorageTopology(2, {1: {1}, 2: ()})
 
 
 def test_naive_schedule_completes_everything(tree_topology, cyclic_topology, triangle_topology):
@@ -224,17 +227,6 @@ def test_random_mixes_respect_rank_laws(tree_topology):
             before[:] = after
 
         run_schedule(tree_topology, schedule, on_slot=on_slot)
-
-
-@st.composite
-def topologies(draw):
-    V = draw(st.integers(2, 5))
-    W = draw(st.integers(1, 6))
-    holdings = {v: set() for v in range(1, V + 1)}
-    for w in range(1, W + 1):
-        for v in draw(st.sets(st.integers(1, V), min_size=1, max_size=V)):
-            holdings[v].add(w)
-    return StorageTopology(W, holdings)
 
 
 @settings(max_examples=60, deadline=None)

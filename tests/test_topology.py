@@ -73,9 +73,9 @@ def test_to_hypergraph_leftovers():
 
 
 def test_to_hypergraph_rejects_uncovered_segment():
-    t = StorageTopology(2, {1: {1}, 2: ()})
-    with pytest.raises(ValueError):
-        t.to_hypergraph()
+    # refused when built, so no model is ever made without the segment
+    with pytest.raises(ValueError, match="segment 2 is stored nowhere"):
+        StorageTopology(2, {1: {1}, 2: ()})
 
 
 def test_from_hypergraph_default_placement(tree_h, tree_topology):
