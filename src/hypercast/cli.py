@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
         )
     topology = from_hypergraph(h, placement)
     metadata = {
-        "generator": "quasi-tree-grower-v1",
+        "generator": "quasi-tree-grower-v2",
         "rng": RNG_ALGORITHM,
         "seed": args.seed,
         "extra_edges": args.extra_edges,

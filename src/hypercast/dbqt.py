@@ -45,8 +45,6 @@ class NotQuasiTreeError(PlanError):
 @dataclass(frozen=True)
 class RepresentativeSequence:
     order: tuple[int, ...]
-    # covered[i] holds the edge vertex sets covered after pick i+1
-    covered: tuple[frozenset[frozenset[int]], ...]
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,6 @@ def ordered_representatives(h: Hypergraph) -> RepresentativeSequence:
     first = pick(sorted(h.vertices))
     order = [first]
     covered = set(incident[first])
-    trace = [frozenset(covered)]
     while covered != all_edges:
         chosen = set(order)
         eligible = [
@@ -110,8 +107,7 @@ def ordered_representatives(h: Hypergraph) -> RepresentativeSequence:
         nxt = pick(eligible)
         order.append(nxt)
         covered |= incident[nxt]
-        trace.append(frozenset(covered))
-    return RepresentativeSequence(tuple(order), tuple(trace))
+    return RepresentativeSequence(tuple(order))
 
 
 def vandermonde(n: int, m: int) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,6 @@ __all__ = [
     "P",
     "inv_mod",
     "inv_mod_many",
-    "unit_vector",
     "rank_mod",
     "nonsingular_mod",
     "UserBases",
@@ -45,15 +44,6 @@ def inv_mod_many(values: list[int]) -> list[int]:
         out[i] = inv * prefix[i] % P
         inv = inv * values[i] % P
     return out
-
-
-def unit_vector(dim: int, row: int) -> np.ndarray:
-    """Vector with a single 1 at 0-based position `row`."""
-    if not 0 <= row < dim:
-        raise ValueError(f"unit row {row} outside [0, {dim})")
-    v = np.zeros(dim, dtype=np.int64)
-    v[row] = 1
-    return v
 
 
 def rank_mod(matrix) -> int:

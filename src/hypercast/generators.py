@@ -1,11 +1,9 @@
 """Seeded random instance generators.
 
-Quasi-trees grow from singleton components: each new edge takes one
-vertex from each of several distinct components and merges them, which
-keeps every edge a bridge.  Occasionally an edge instead takes two
-vertices out of one existing edge plus vertices from other components;
-that can create genuine quasi-trees with cycles but can also break the
-bridge property, so every draw is verified and re-drawn if needed.
+Quasi-trees are grown so that every edge is a bridge by construction:
+merge edges join distinct components, and an overlay edge closes a cycle
+only through one earlier edge that keeps a vertex of its own (see
+`_grow_skeleton`).  Nothing is checked and redrawn.
 All randomness flows from the config seed through a stable hash, so a
 given config always produces the same instance.
 """
@@ -19,7 +17,6 @@ from .hypergraph import Hypergraph
 from .topology import PlacementMap, StorageTopology, from_hypergraph
 
 RNG_ALGORITHM = "mt19937+sha256"
-_MAX_DRAWS = 64
 _OVERLAY_RATE = 0.25
 
 __all__ = [
@@ -60,44 +57,49 @@ class GenConfig:
             raise ValueError(f"need at least 1 segment, got {self.num_segments}")
 
 
-def _grow_skeleton(rng: random.Random, num_users: int, max_size: int) -> list[frozenset[int]]:
-    root = {v: v for v in range(1, num_users + 1)}
+def _grow_skeleton(
+    rng: random.Random, num_users: int, max_size: int, budget: int
+) -> list[frozenset[int]]:
+    """Edge vertex sets of a quasi-tree on 1..num_users with at most
+    `budget` edges of at most `max_size` vertices.
+
+    A merge edge takes one vertex from each of 2..max_size distinct
+    components.  An overlay edge takes two vertices of an earlier merge
+    edge of 3 or more vertices (its base) plus one vertex from each of
+    1..max_size-2 other components.  Merges never rejoin components, so
+    the only cycle an overlay closes runs through its base, and both stay
+    bridges: the overlay alone links its other components, and the base
+    alone links its third vertex's side.  A base serves once, an overlay
+    never.  Each step merges enough of the c components that the edges
+    left, merging max_size-1 at a time, still finish within the budget.
+    """
+    label = {v: v for v in range(1, num_users + 1)}  # vertex -> component
     members = {v: [v] for v in range(1, num_users + 1)}
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def merge(vertices: set[int]):
-        roots = {find(v) for v in vertices}
-        keep = min(roots)
-        for r in roots:
-            if r != keep:
-                root[r] = keep
-                members[keep].extend(members.pop(r))
-
     edges: list[frozenset[int]] = []
+    bases: list[frozenset[int]] = []
     while len(members) > 1:
-        roots = sorted(members)
-        overlay_bases = sorted(e for e in edges if len(e) >= 3) if max_size >= 3 else []
-        if overlay_bases and rng.random() < _OVERLAY_RATE:
-            base = overlay_bases[rng.randrange(len(overlay_bases))]
-            pair = rng.sample(sorted(base), 2)
-            base_root = find(pair[0])
-            other_roots = [r for r in roots if r != base_root]
-            extra = rng.randint(1, min(max_size - 2, len(other_roots)))
-            chosen = rng.sample(other_roots, extra)
-            verts = set(pair)
-            for r in chosen:
-                verts.add(rng.choice(sorted(members[r])))
+        labels = sorted(members)
+        least = max(2, len(labels) - (budget - len(edges) - 1) * (max_size - 1))
+        if bases and least < max_size and rng.random() < _OVERLAY_RATE:
+            base = bases.pop(rng.randrange(len(bases)))
+            verts = rng.sample(sorted(base), 2)
+            home = label[verts[0]]
+            others = [c for c in labels if c != home]
+            merged = rng.sample(others, rng.randint(least - 1, min(max_size - 2, len(others))))
+            verts += [rng.choice(members[c]) for c in merged]
+            merged.append(home)
         else:
-            size = rng.randint(2, min(max_size, len(roots)))
-            chosen = rng.sample(roots, size)
-            verts = {rng.choice(sorted(members[r])) for r in chosen}
+            merged = rng.sample(labels, rng.randint(least, min(max_size, len(labels))))
+            verts = [rng.choice(members[c]) for c in merged]
+            if len(verts) >= 3:
+                bases.append(frozenset(verts))
         edges.append(frozenset(verts))
-        merge(verts)
+        keep = min(merged)
+        for c in merged:
+            if c != keep:
+                for v in members.pop(c):
+                    label[v] = keep
+                    members[keep].append(v)
     return edges
 
 
@@ -115,25 +117,19 @@ def random_quasi_tree(cfg: GenConfig) -> tuple[StorageTopology, Hypergraph, Plac
             f"{W} segments cannot weight the at least {min_edges} edges needed "
             f"to span {V} users with edges of size <= {r}"
         )
-    for attempt in range(_MAX_DRAWS):
-        rng = random.Random(derive_seed(cfg.seed, "quasi-tree", attempt))
-        edge_sets = _grow_skeleton(rng, V, r)
-        if len(edge_sets) > W:
-            continue
-        if not Hypergraph(range(1, V + 1), [(e, 1) for e in edge_sets]).is_quasi_tree():
-            continue
-        ordered = sorted(edge_sets, key=lambda e: tuple(sorted(e)))
-        weights = [1] * len(ordered)
-        for _ in range(W - len(ordered)):
-            weights[rng.randrange(len(ordered))] += 1
-        placement: PlacementMap = {}
-        nxt = 1
-        for eset, w in zip(ordered, weights):
-            placement[eset] = tuple(range(nxt, nxt + w))
-            nxt += w
-        h = Hypergraph(range(1, V + 1), list(zip(ordered, weights)))
-        return from_hypergraph(h, placement), h, placement
-    raise GenerationError(f"no quasi-tree found in {_MAX_DRAWS} draws for {cfg}")
+    rng = random.Random(derive_seed(cfg.seed, "quasi-tree"))
+    ordered = sorted(_grow_skeleton(rng, V, r, W), key=lambda e: tuple(sorted(e)))
+    weights = [1] * len(ordered)
+    for _ in range(W - len(ordered)):
+        weights[rng.randrange(len(ordered))] += 1
+    placement: PlacementMap = {}
+    nxt = 1
+    for eset, w in zip(ordered, weights):
+        placement[eset] = tuple(range(nxt, nxt + w))
+        nxt += w
+    h = Hypergraph(range(1, V + 1), list(zip(ordered, weights)))
+    assert h.is_quasi_tree()
+    return from_hypergraph(h, placement), h, placement
 
 
 def add_cycle_edges(

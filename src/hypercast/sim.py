@@ -30,6 +30,8 @@ from .field import P, UserBases, rank_mod
 from .topology import StorageTopology
 
 MAX_SIM_SEGMENTS = 2048  # the largest measured size that completed (README)
+# payload entries in the largest default store: L = W + 1 at W = MAX_SIM_SEGMENTS
+_MAX_STORE_ENTRIES = (MAX_SIM_SEGMENTS + 1) * MAX_SIM_SEGMENTS
 
 __all__ = [
     "MAX_SIM_SEGMENTS",
@@ -256,13 +258,19 @@ class SegmentStore:
 
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
-    """Draw random payload columns, re-sampling until independent; an
-    instance with more segments than the simulator takes is refused first."""
+    """Draw random payload columns, re-sampling until independent.  An
+    instance with more segments than the simulator takes, or a store
+    larger than the largest default one it takes, is refused first."""
     W = topology.num_segments
     _check_segment_limit(W)
     L = topology.payload_length if topology.payload_length is not None else W + 1
     if L <= W:
         raise ValueError(f"payload length {L} must exceed num_segments {W}")
+    if L * W > _MAX_STORE_ENTRIES:
+        raise ValueError(
+            f"payload_length {L} over {W} segments needs {L * W} payload entries; "
+            f"the simulator takes at most {_MAX_STORE_ENTRIES}"
+        )
     rng = random.Random(seed)
     for _ in range(16):
         matrix = np.array(

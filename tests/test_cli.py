@@ -45,6 +45,7 @@ def test_gen_writes_parseable_instance(capsys, tmp_path):
     topo, meta = loads_instance(out.read_text())
     assert topo.num_users == 6 and topo.num_segments == 5
     assert meta["seed"] == 7 and meta["extra_edges"] == 0
+    assert meta["generator"] == "quasi-tree-grower-v2"
     # stdout mode emits the same bytes
     code, stdout, _ = run_cli(
         capsys, "gen", "--users", "6", "--segments", "5", "--seed", "7"
@@ -58,6 +59,17 @@ def test_gen_infeasible_exits_2(capsys):
     code, _, _ = run_cli(capsys, "gen", "--users", "6", "--segments", "1", "--seed", "1",
                          "--extra-edges", "3")
     assert code == 2
+
+
+def test_gen_and_analyze_at_200_users(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    gen = ("gen", "--users", "200", "--segments", "800", "--seed", "1", "--out", str(path))
+    assert run_cli(capsys, *gen)[0] == 0
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["num_users"] == 200 and doc["num_segments"] == 800
+    assert doc["quasi_tree"] is True
 
 
 def test_gen_extra_edges_respect_max_edge_size(capsys):
@@ -212,6 +224,28 @@ def test_payload_check_refuses_segment_limit_before_drawing(
     )
     assert code == 2 and out == ""
     assert f"simulator supports at most {W - 1} segments, got {W}" in err
+
+
+@pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
+def test_payload_check_refuses_long_payloads_before_drawing(
+    capsys, monkeypatch, tmp_path, strategy
+):
+    def reached(*_args):
+        raise AssertionError("payloads drawn for a store the simulator refuses")
+
+    monkeypatch.setattr(hypercast.sim, "random", types.SimpleNamespace(Random=reached))
+    monkeypatch.setattr(hypercast.sim, "rank_mod", reached)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "num_users": 2, "num_segments": 2, "payload_length": 3_000_000,
+        "users": [{"id": 1, "segments": [1]}, {"id": 2, "segments": [2]}],
+    }))
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", strategy, "--payload-check"
+    )
+    assert code == 2 and out == ""
+    limit = (hypercast.sim.MAX_SIM_SEGMENTS + 1) * hypercast.sim.MAX_SIM_SEGMENTS
+    assert "payload_length 3000000" in err and str(limit) in err
 
 
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):

@@ -24,11 +24,22 @@ from hypercast.generators import GenConfig, random_quasi_tree
 # -- representative ordering -------------------------------------------
 
 
+def covered_prefixes(h, order) -> list[frozenset[frozenset[int]]]:
+    """The edge vertex sets covered after each pick of `order`."""
+    covered: frozenset[frozenset[int]] = frozenset()
+    prefixes = []
+    for v in order:
+        covered |= {e.vertices for e in h.incident(v)}
+        prefixes.append(covered)
+    return prefixes
+
+
 def test_representatives_on_tree_example(tree_h):
     reps = ordered_representatives(tree_h)
     assert reps.order == (3, 5, 4)
-    assert [len(c) for c in reps.covered] == [2, 3, 4]
-    assert reps.covered[-1] == tree_h.edge_sets
+    covered = covered_prefixes(tree_h, reps.order)
+    assert [len(c) for c in covered] == [2, 3, 4]
+    assert covered[-1] == tree_h.edge_sets
 
 
 def test_representatives_star_center():
@@ -54,14 +65,15 @@ def test_representative_prefixes_stay_connected():
         )
         _topo, h, _placement = random_quasi_tree(cfg)
         reps = ordered_representatives(h)
-        assert reps.covered[-1] == h.edge_sets
-        for prefix in reps.covered:
+        covered = covered_prefixes(h, reps.order)
+        assert covered[-1] == h.edge_sets
+        for prefix in covered:
             verts = frozenset().union(*prefix)
             sub = Hypergraph(verts, [(e, h.weight_of(e)) for e in prefix])
             assert sub.is_connected()
         # each later pick touches an edge covered before it
         for i, v in enumerate(reps.order[1:], start=1):
-            assert any(v in eset for eset in reps.covered[i - 1])
+            assert any(v in eset for eset in covered[i - 1])
 
 
 # -- coding matrices ----------------------------------------------------

@@ -25,7 +25,7 @@ from hypercast import (
     nonsingular_mod,
     rank_mod,
 )
-from hypercast.field import inv_mod_many, unit_vector
+from hypercast.field import inv_mod_many
 from hypercast.sim import SegmentStore, materialize_payloads
 
 
@@ -109,13 +109,6 @@ def test_inv_mod_many_matches_one_pow_per_value(values, at):
     with_zero = values[:at] + [0] + values[at:]
     with pytest.raises(ZeroDivisionError):
         inv_mod_many(with_zero)
-
-
-def test_vector_helpers():
-    e = unit_vector(4, 2)
-    assert e.tolist() == [0, 0, 1, 0]
-    with pytest.raises(ValueError):
-        unit_vector(4, 4)
 
 
 def test_combine_columns_hand_values():
@@ -296,6 +289,6 @@ def test_unit_rows_track_one_hot_members():
     # span now contains e0 and e1 but not e2
     assert sorted(basis.units) == [0, 1]
     for r in range(3):
-        assert basis.contains(sparse(unit_vector(3, r))) == (r in basis.units)
+        assert basis.contains(sparse(np.eye(3, dtype=np.int64)[r])) == (r in basis.units)
     basis.insert(sparse([3, 5, 7]))
     assert sorted(basis.units) == [0, 1, 2]

@@ -24,7 +24,7 @@ from hypercast.formats import (
 )
 from hypercast.general import ExperimentRow
 from hypercast.sim import naive_schedule, run_schedule
-from conftest import FIXTURES
+from conftest import FIXTURES, topologies
 
 
 def test_golden_fixture_bytes_match(cyclic_topology, tree_topology):
@@ -63,6 +63,50 @@ def test_digest_ignores_metadata(tree_topology):
     text = dumps_instance(tree_topology, {"seed": 1})
     topo, _ = loads_instance(text)
     assert instance_digest(topo) == d
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def instances(draw):
+    """A topology from `topologies()`, maybe with a payload length, and
+    metadata (maybe none) that JSON carries unchanged."""
+    topo = draw(topologies())
+    W = topo.num_segments
+    length = draw(st.none() | st.integers(W + 1, W + 100))
+    holdings = {v: topo.holding(v) for v in topo.users}
+    meta = draw(st.dictionaries(st.text(max_size=6), _json_values, max_size=4))
+    return StorageTopology(W, holdings, length), meta
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_property_loads_inverts_dumps(instance):
+    topo, meta = instance
+    text = dumps_instance(topo, meta)
+    parsed, parsed_meta = loads_instance(text)
+    assert parsed == topo and parsed.payload_length == topo.payload_length
+    assert parsed_meta == meta
+    assert dumps_instance(parsed, parsed_meta) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.randoms(use_true_random=False))
+def test_property_digest_ignores_metadata_and_holding_order(instance, rng):
+    topo, meta = instance
+    digest = instance_digest(topo)
+    assert instance_digest(loads_instance(dumps_instance(topo, meta))[0]) == digest
+    users = list(topo.users)
+    rng.shuffle(users)
+    holdings = {v: rng.sample(sorted(topo.holding(v)), len(topo.holding(v))) for v in users}
+    reordered = StorageTopology(topo.num_segments, holdings, topo.payload_length)
+    assert instance_digest(reordered) == digest
 
 
 def test_parse_rejects_malformed_documents(tree_topology):

@@ -46,7 +46,24 @@ def test_smallest_config():
     assert sum(len(ids) for ids in placement.values()) == 2
 
 
+def assert_quasi_tree_with_exact_weights(cfg: GenConfig) -> Hypergraph:
+    _topo, h, _placement = random_quasi_tree(cfg)
+    assert h.is_quasi_tree()
+    assert h.num_vertices == cfg.num_users
+    assert h.total_weight == cfg.num_segments
+    assert all(len(e.vertices) <= cfg.max_edge_size for e in h.edges)
+    return h
+
+
+def has_cycle(h: Hypergraph) -> bool:
+    """Whether the vertex-edge incidence graph has a cycle: a forest on
+    V + |E| nodes with c components has V + |E| - c links."""
+    links = sum(len(e.vertices) for e in h.edges)
+    return links - len(h.edges) > h.num_vertices - len(h.components())
+
+
 def test_many_seeds_all_quasi_trees_with_exact_weights():
+    cyclic = 0
     for seed in range(500):
         users = 3 + seed % 10
         segments = max(users, 4 + seed % 60)
@@ -70,6 +87,25 @@ def test_many_seeds_all_quasi_trees_with_exact_weights():
         # model round trip agrees
         h2, placement2, leftovers = topo.to_hypergraph()
         assert h2 == h and placement2 == placement and leftovers == {}
+        cyclic += has_cycle(h)
+    # overlay edges make genuine quasi-trees with cycles, not only hypertrees
+    assert cyclic > 0
+
+
+@pytest.mark.parametrize("users", [100, 200, 500])
+def test_large_quasi_trees_on_every_seed(users):
+    for seed in range(10):
+        assert_quasi_tree_with_exact_weights(GenConfig(users, 4 * users, 3, seed))
+
+
+def test_tightest_segment_budget_always_suffices():
+    # ceil((V - 1) / (r - 1)) edges are the fewest that span V users
+    for users in range(3, 31):
+        for size in range(2, min(5, users - 1) + 1):
+            budget = -(-(users - 1) // (size - 1))
+            for seed in range(5):
+                h = assert_quasi_tree_with_exact_weights(GenConfig(users, budget, size, seed))
+                assert len(h.edges) == budget
 
 
 def test_same_seed_same_instance():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from basis_oracle import ColumnBasis
 from conftest import topologies
 from hypercast import StorageTopology
-from hypercast.field import P, UserBases, rank_mod, unit_vector
+from hypercast.field import P, UserBases, rank_mod
 from hypercast.sim import (
     MAX_SIM_SEGMENTS,
     Broadcast,
@@ -39,7 +39,8 @@ TRIANGLE = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
 def oracle(topology, coefficient_vectors, user) -> tuple[int, frozenset[int]]:
     """(rank, decoded set) of `user` after hearing the given vectors."""
     W = topology.num_segments
-    cols = [unit_vector(W, w - 1) for w in sorted(topology.holding(user))]
+    unit = np.eye(W, dtype=np.int64)
+    cols = [unit[w - 1] for w in sorted(topology.holding(user))]
     cols += [np.asarray(c, dtype=np.int64) % P for c in coefficient_vectors]
     if not cols:
         return 0, frozenset()
@@ -47,7 +48,7 @@ def oracle(topology, coefficient_vectors, user) -> tuple[int, frozenset[int]]:
     base = rank_mod(stack)
     decoded = frozenset(
         w for w in range(1, W + 1)
-        if rank_mod(np.concatenate([stack, unit_vector(W, w - 1)[:, None]], axis=1)) == base
+        if rank_mod(np.concatenate([stack, unit[w - 1][:, None]], axis=1)) == base
     )
     return base, decoded
 
