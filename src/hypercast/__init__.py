@@ -13,7 +13,6 @@ from .dbqt import (
     PhasePlan,
     PlanError,
     QuasiTreePlan,
-    RepresentativeSequence,
     dbqt_schedule,
     decodable_with,
     ordered_representatives,
@@ -52,6 +51,7 @@ from .generators import (
     GenerationError,
     add_cycle_edges,
     derive_seed,
+    random_instance,
     random_quasi_tree,
 )
 from .hypergraph import (
@@ -66,7 +66,6 @@ from .sim import (
     SegmentStore,
     SlotRecord,
     Transcript,
-    UserState,
     materialize_payloads,
     naive_schedule,
     run_schedule,
@@ -96,12 +95,10 @@ __all__ = [
     "PlanError",
     "QuasiTreePlan",
     "Reduction",
-    "RepresentativeSequence",
     "SegmentStore",
     "SlotRecord",
     "StorageTopology",
     "Transcript",
-    "UserState",
     "add_cycle_edges",
     "dbqt_general",
     "dbqt_schedule",
@@ -125,6 +122,7 @@ __all__ = [
     "phase_schedule",
     "plan_document",
     "plan_phases",
+    "random_instance",
     "random_quasi_tree",
     "rank_mod",
     "read_instance",

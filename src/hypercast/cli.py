@@ -25,9 +25,8 @@ from .general import (
     min_degree_bound,
     run_experiment,
 )
-from .generators import RNG_ALGORITHM, GenConfig, add_cycle_edges, random_quasi_tree
+from .generators import RNG_ALGORITHM, random_instance
 from .sim import materialize_payloads, naive_schedule, run_schedule
-from .topology import from_hypergraph
 
 __all__ = ["main", "main_script"]
 
@@ -89,18 +88,9 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_gen(args) -> int:
-    cfg = GenConfig(
-        num_users=args.users,
-        num_segments=args.segments - args.extra_edges,
-        max_edge_size=args.max_edge_size,
-        seed=args.seed,
+    topology = random_instance(
+        args.users, args.segments, args.extra_edges, args.max_edge_size, args.seed
     )
-    _topo, h, placement = random_quasi_tree(cfg)
-    if args.extra_edges:
-        h, placement = add_cycle_edges(
-            h, placement, args.extra_edges, args.seed, args.max_edge_size
-        )
-    topology = from_hypergraph(h, placement)
     metadata = {
         "generator": "quasi-tree-grower-v2",
         "rng": RNG_ALGORITHM,
@@ -123,7 +113,7 @@ def cmd_analyze(args) -> int:
         if quasi_tree:
             agreement = h.min_cut(method="edge-scan").capacity == cut
     if quasi_tree:
-        reps = list(ordered_representatives(h).order)
+        reps = list(ordered_representatives(h))
     doc = {
         "instance_digest": instance_digest(topology),
         "num_users": topology.num_users,

@@ -4,10 +4,11 @@ The planner orders representative vertices so that each prefix induces a
 connected region and each new representative contributes at least one
 uncovered edge, then emits one phase per representative.  A phase mixes
 the representative's fresh segments with a small seed taken from a
-bridge edge back into the covered region, coded through a rectangular
-power-basis matrix; with delta the minimum edge weight, the whole
-schedule is exactly W - delta broadcasts and leaves every user able to
-decode everything.
+bridge edge back into the covered region, and sends the columns of
+`vandermonde(len(block), count)`, which `decodable_with` proves
+decodable.  With delta the minimum edge weight, the schedule, a list of
+Broadcast(sender, coefficients), is exactly W - delta broadcasts and
+leaves every user able to decode everything.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .topology import PlacementMap, StorageTopology
 __all__ = [
     "PlanError",
     "NotQuasiTreeError",
-    "RepresentativeSequence",
     "PhasePlan",
     "QuasiTreePlan",
     "ordered_representatives",
@@ -43,25 +43,18 @@ class NotQuasiTreeError(PlanError):
 
 
 @dataclass(frozen=True)
-class RepresentativeSequence:
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PhasePlan:
-    index: int
     representative: int
     bridge: frozenset[int] | None
     seed_segments: tuple[int, ...]
     block: tuple[int, ...]
-    coding_matrix: tuple[tuple[int, ...], ...]
     broadcast_count: int
 
 
 @dataclass(frozen=True)
 class QuasiTreePlan:
     delta: int
-    representatives: RepresentativeSequence
+    representatives: tuple[int, ...]
     phases: tuple[PhasePlan, ...]
     schedule: tuple[Broadcast, ...]
 
@@ -70,7 +63,7 @@ class QuasiTreePlan:
         return len(self.schedule)
 
 
-def ordered_representatives(h: Hypergraph) -> RepresentativeSequence:
+def ordered_representatives(h: Hypergraph) -> tuple[int, ...]:
     """Greedy representative ordering covering every edge.
 
     The first pick is a vertex whose incident edge set is not strictly
@@ -107,7 +100,7 @@ def ordered_representatives(h: Hypergraph) -> RepresentativeSequence:
         nxt = pick(eligible)
         order.append(nxt)
         covered |= incident[nxt]
-    return RepresentativeSequence(tuple(order))
+    return tuple(order)
 
 
 def vandermonde(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -143,7 +136,7 @@ def plan_phases(
     topology: StorageTopology,
     tree: Hypergraph,
     placement: PlacementMap,
-    reps: RepresentativeSequence,
+    reps: Sequence[int],
 ) -> tuple[PhasePlan, ...]:
     """One phase per representative over the given quasi-tree, with delta
     the tree's minimum edge weight.
@@ -157,14 +150,14 @@ def plan_phases(
     delta = min(e.weight for e in tree.edges)
     phases: list[PhasePlan] = []
     prev_union: set[int] = set()
-    for i, v in enumerate(reps.order, start=1):
+    for i, v in enumerate(reps, start=1):
         holding = set(topology.holding(v))
         if i == 1:
             bridge = None
             seed: tuple[int, ...] = ()
             block = tuple(sorted(holding))
         else:
-            prior = set(reps.order[: i - 1])
+            prior = set(reps[: i - 1])
             eligible = [
                 e for e in tree.edges
                 if v in e.vertices and e.vertices & prior
@@ -187,18 +180,7 @@ def plan_phases(
             raise PlanError(
                 f"phase {i} block of {len(block)} segments cannot support delta={delta}"
             )
-        matrix = vandermonde(len(block), count) if block else ()
-        phases.append(
-            PhasePlan(
-                index=i,
-                representative=v,
-                bridge=bridge,
-                seed_segments=seed,
-                block=block,
-                coding_matrix=matrix,
-                broadcast_count=count,
-            )
-        )
+        phases.append(PhasePlan(v, bridge, seed, block, count))
         prev_union |= holding
     total = sum(p.broadcast_count for p in phases)
     assert total == len(prev_union) - delta, "phase sizes must telescope"
@@ -206,27 +188,27 @@ def plan_phases(
 
 
 def phase_schedule(topology: StorageTopology, phases: Sequence[PhasePlan]) -> list[Broadcast]:
-    """Flatten phases into consecutive broadcast slots.
+    """Flatten phases, in order, into one list of broadcasts.
 
-    Slot tau of a phase sends column tau of its coding matrix, placed on
-    the block's segments; blocks are drawn from the representative's own
-    storage, so it can always form the combination.
+    Slot tau of a phase sends column tau of
+    `vandermonde(len(block), broadcast_count)`, placed on the block's
+    segments; blocks are drawn from the representative's own storage,
+    so it can always form the combination.
     """
     out: list[Broadcast] = []
     W = topology.num_segments
-    t = 0
-    for ph in phases:
+    for i, ph in enumerate(phases, start=1):
         if not set(ph.block) <= topology.holding(ph.representative):
             raise PlanError(
-                f"phase {ph.index}: block contains segments user "
+                f"phase {i}: block contains segments user "
                 f"{ph.representative} does not store"
             )
+        rows = vandermonde(len(ph.block), ph.broadcast_count) if ph.broadcast_count else ()
         for tau in range(ph.broadcast_count):
             coefficients = [0] * W
-            for k, w in enumerate(ph.block):
-                coefficients[w - 1] = ph.coding_matrix[k][tau]
-            out.append(Broadcast(t, ph.representative, tuple(coefficients)))
-            t += 1
+            for w, row in zip(ph.block, rows):
+                coefficients[w - 1] = row[tau]
+            out.append(Broadcast(ph.representative, tuple(coefficients)))
     return out
 
 

@@ -4,7 +4,9 @@ Instance files are JSON with a frozen schema (format_version 1): user
 holdings plus optional payload_length and metadata.  Every document is
 written in one canonical form, exactly json.dumps(doc, indent=2,
 sort_keys=True) + "\n", so equal instances always produce identical
-bytes; the digest hashes the canonical form without metadata.
+bytes; the digest hashes the canonical form without metadata.  Plan
+and transcript documents number slots from 0 and phases from 1 by their
+position in the plan or transcript.
 dumps_document writes that form with the C JSON encoder: before Python
 3.13, json.dumps indents with a pure-Python encoder that is much slower.
 """
@@ -121,7 +123,8 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # 1.0 and true compare equal to 1; only the integer is the version
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     try:
         num_users = _integer(doc["num_users"], "num_users")
@@ -187,25 +190,25 @@ def plan_document(plan: QuasiTreePlan) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "min_edge_weight": plan.delta,
-        "representatives": list(plan.representatives.order),
+        "representatives": list(plan.representatives),
         "phases": [
             {
-                "index": ph.index,
+                "index": i,
                 "representative": ph.representative,
                 "bridge_edge": sorted(ph.bridge) if ph.bridge is not None else None,
                 "seed_segments": list(ph.seed_segments),
                 "block": list(ph.block),
                 "broadcast_count": ph.broadcast_count,
             }
-            for ph in plan.phases
+            for i, ph in enumerate(plan.phases, start=1)
         ],
         "schedule": [
             {
-                "slot": b.slot,
+                "slot": t,
                 "sender": b.sender,
                 "coefficients": list(b.coefficients),
             }
-            for b in plan.schedule
+            for t, b in enumerate(plan.schedule)
         ],
         "num_broadcasts": plan.num_broadcasts,
     }
@@ -214,13 +217,13 @@ def plan_document(plan: QuasiTreePlan) -> dict:
 def transcript_document(transcript: Transcript) -> dict:
     slots = [
         {
-            "slot": rec.slot,
+            "slot": t,
             "sender": rec.sender,
             "coefficients": list(rec.coefficients),
             "ranks": list(rec.ranks),
             "remaining_edges": rec.remaining_edges,
         }
-        for rec in transcript.slots
+        for t, rec in enumerate(transcript.slots)
     ]
     return {
         "format_version": FORMAT_VERSION,

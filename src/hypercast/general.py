@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dbqt import ordered_representatives, phase_schedule, plan_phases
-from .generators import GenConfig, add_cycle_edges, derive_seed, random_quasi_tree
+from .generators import derive_seed, random_instance
 from .hypergraph import Edge, Hypergraph
 from .sim import SegmentStore, Transcript, run_schedule
-from .topology import StorageTopology, from_hypergraph
+from .topology import StorageTopology
 
 __all__ = [
     "Reduction",
@@ -142,28 +142,17 @@ def iter_experiment_instances(
 ) -> Iterator[tuple[int, int, int, StorageTopology]]:
     """Deterministic instance stream for an experiment grid.
 
-    For each (V, W) pair and trial index, draws a quasi-tree on
-    W - extra_edges segments and overlays extra_edges redundant edges,
-    one fresh segment each, so the final instance has W segments.  Every
-    trial derives its own seed from (seed, V, W, trial).
+    For each (V, W) pair and trial index, draws `random_instance` on W
+    segments with extra_edges redundant edges.  Every trial derives its
+    own seed from (seed, V, W, trial).
     """
-    k = config.extra_edges
     for V in config.users_list:
         for W in config.segments_list:
-            if W - k < 1:
-                raise ValueError(f"segments={W} cannot host {k} extra edges")
             for trial in range(config.trials):
                 seed = derive_seed(config.seed, V, W, trial)
-                cfg = GenConfig(
-                    num_users=V,
-                    num_segments=W - k,
-                    max_edge_size=config.max_edge_size,
-                    seed=seed,
+                yield V, W, trial, random_instance(
+                    V, W, config.extra_edges, config.max_edge_size, seed
                 )
-                _topo, h, placement = random_quasi_tree(cfg)
-                if k:
-                    h, placement = add_cycle_edges(h, placement, k, seed, config.max_edge_size)
-                yield V, W, trial, from_hypergraph(h, placement)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:

@@ -26,6 +26,7 @@ __all__ = [
     "derive_seed",
     "random_quasi_tree",
     "add_cycle_edges",
+    "random_instance",
 ]
 
 
@@ -174,3 +175,17 @@ def add_cycle_edges(
         new_placement[vs] = (next_segment,)
         next_segment += 1
     return Hypergraph(h.vertices, pairs), new_placement
+
+
+def random_instance(
+    num_users: int, num_segments: int, extra_edges: int, max_edge_size: int, seed: int
+) -> StorageTopology:
+    """The instance of `gen` and of one experiment trial: a quasi-tree on
+    num_segments - extra_edges segments with extra_edges redundant edges
+    overlaid, one fresh segment each, so it has num_segments segments."""
+    if num_segments - extra_edges < 1:
+        raise GenerationError(f"segments={num_segments} cannot host {extra_edges} extra edges")
+    cfg = GenConfig(num_users, num_segments - extra_edges, max_edge_size, seed)
+    _topology, h, placement = random_quasi_tree(cfg)
+    h, placement = add_cycle_edges(h, placement, extra_edges, seed, max_edge_size)
+    return from_hypergraph(h, placement)

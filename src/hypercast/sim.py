@@ -10,7 +10,10 @@ A user's rank is its stored count plus its basis rank, and it has
 decoded segment w iff it stores w or its basis row with pivot w is
 one-hot.  The run is complete when every user reaches full rank.
 
-`run_schedule` is the one loop over broadcast slots.  With a store it
+A schedule is a plain list of Broadcast(sender, coefficients), and a
+broadcast's slot is its position in it.  `run_schedule` is the one loop
+over slots; its Transcript holds one record per slot, in the same
+order, and each user's decoded segments at the end.  With a store it
 carries actual length-L codewords: every basis row holds the payload of
 its vector, and each row operation is applied to it.  Each slot checks
 the sender's payload combination against M.c (M the store matrix, c the
@@ -21,8 +24,8 @@ PayloadMismatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +39,6 @@ _MAX_STORE_ENTRIES = (MAX_SIM_SEGMENTS + 1) * MAX_SIM_SEGMENTS
 __all__ = [
     "MAX_SIM_SEGMENTS",
     "PayloadMismatch",
-    "UserState",
     "Broadcast",
     "SlotRecord",
     "Transcript",
@@ -54,53 +56,34 @@ class PayloadMismatch(ValueError):
     decoded payload differs from the store."""
 
 
-class UserState:
-    """One user's view of a run: its rank and decoded segments, read from
-    the shared bases."""
-
-    __slots__ = ("user", "_stored", "_bases")
-
-    def __init__(self, user: int, stored: frozenset[int], bases: UserBases):
-        self.user = user
-        self._stored = stored
-        self._bases = bases
-
-    @property
-    def rank(self) -> int:
-        return int(self._bases.rank[self.user - 1])
-
-    @property
-    def decoded(self) -> frozenset[int]:
-        return self._stored.union(w + 1 for w in self._bases.units[self.user - 1])
-
-
 @dataclass(frozen=True)
 class Broadcast:
-    """One slot: `sender` transmits the combination with one coefficient
-    per segment."""
+    """One broadcast: `sender` transmits the combination with one
+    coefficient per segment.  Its slot is its position in the schedule."""
 
-    slot: int
     sender: int
     coefficients: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class SlotRecord:
-    slot: int
     sender: int
     coefficients: tuple[int, ...]
     ranks: tuple[int, ...]
     remaining_edges: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class Transcript:
+    """The records of a run, slot i at position i, and each user's
+    decoded segments once it ends (user v at position v - 1)."""
+
     num_users: int
     num_segments: int
     initial_ranks: tuple[int, ...]
     slots: list[SlotRecord]
     complete: bool
-    final_states: list[UserState] = dc_field(repr=False, default_factory=list)
+    decoded: tuple[frozenset[int], ...]
 
     @property
     def num_broadcasts(self) -> int:
@@ -108,7 +91,7 @@ class Transcript:
 
     @property
     def schedule(self) -> list[Broadcast]:
-        return [Broadcast(r.slot, r.sender, r.coefficients) for r in self.slots]
+        return [Broadcast(r.sender, r.coefficients) for r in self.slots]
 
 
 def run_schedule(
@@ -116,7 +99,6 @@ def run_schedule(
     schedule: Iterable[Broadcast],
     store: SegmentStore | None = None,
     completion: bool = False,
-    on_slot=None,
 ) -> Transcript:
     """Deliver a schedule slot by slot: the one loop over broadcast slots.
 
@@ -126,30 +108,22 @@ def run_schedule(
     Either check raises PayloadMismatch.  With `completion`, each
     segment some user still lacks once `schedule` runs out is then
     broadcast uncoded, in ascending order, so a segment every user
-    stores is never sent.  Each record counts the model edges (holder
-    sets of 2 to V - 1 users) still carrying a segment not every user
-    has decoded.  `on_slot(states, record)` runs after every slot.
+    stores is never sent.  Each record counts the edges of
+    `topology.to_hypergraph()` still carrying a segment not every user
+    has decoded.
     """
     V, W = topology.num_users, topology.num_segments
     _check_segment_limit(W)
-    # known[c]: users that have decoded segment c + 1, V once all have
-    known: list[int] = []
-    edges: dict[frozenset[int], int] = {}  # the model edges: holder sets of 2..V-1 users
-    edge_of: dict[int, int] = {}  # coordinate -> its model edge
-    for w in range(1, W + 1):
-        holders = topology.holders_of(w)
-        known.append(len(holders))
-        if 2 <= len(holders) < V:
-            edge_of[w - 1] = edges.setdefault(holders, len(edges))
-    left = [0] * len(edges)  # per model edge, its segments not known by all
-    for e in edge_of.values():
-        left[e] += 1
-    open_edges = len(edges)
     stored = np.zeros((V, W), dtype=bool)
     for v in topology.users:
         stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
+    # known[c]: users that have decoded segment c + 1, V once all have
+    known = stored.sum(axis=0).tolist()
+    _h, placement, _leftovers = topology.to_hypergraph()
+    edge_of = {w - 1: e for e, segs in enumerate(placement.values()) for w in segs}
+    left = [len(segs) for segs in placement.values()]  # per edge, segments not known by all
+    open_edges = len(left)
     bases = UserBases(stored, None if store is None else store.matrix.T)
-    states = [UserState(v, topology.holding(v), bases) for v in topology.users]
     initial_ranks = tuple(bases.rank.tolist())
     records: list[SlotRecord] = []
 
@@ -157,11 +131,9 @@ def run_schedule(
         yield from schedule
         if completion:
             for w in [c + 1 for c in range(W) if known[c] < V]:
-                yield uncoded_broadcast(topology, len(records), w)
+                yield uncoded_broadcast(topology, w)
 
     for i, b in enumerate(slots()):
-        if b.slot != i:
-            raise ValueError(f"schedule slots must run 0..T-1 consecutively; saw {b.slot} at {i}")
         if not 1 <= b.sender <= V:
             raise ValueError(f"slot {i}: sender {b.sender} outside 1..{V}")
         if len(b.coefficients) != W:
@@ -175,7 +147,7 @@ def run_schedule(
         if store is not None:
             formed = bases.combine(v)
             payload = formed[b.sender - 1]
-            expected = store.combine({w: c for w, c in enumerate(dense, start=1) if c})
+            expected = store.combine(v)
             if not np.array_equal(payload, expected):
                 raise PayloadMismatch(
                     f"slot {i}: sender {b.sender}'s payload is not the store's combination"
@@ -189,10 +161,7 @@ def run_schedule(
                 left[e] -= 1
                 if not left[e]:
                     open_edges -= 1
-        record = SlotRecord(i, b.sender, dense, tuple(bases.rank.tolist()), open_edges)
-        records.append(record)
-        if on_slot is not None:
-            on_slot(states, record)
+        records.append(SlotRecord(b.sender, dense, tuple(bases.rank.tolist()), open_edges))
     if store is not None:
         wrong = []
         for u, units in enumerate(bases.units):
@@ -204,7 +173,10 @@ def run_schedule(
                 "decoded payloads differ from the store at (user, segment) "
                 + ", ".join(f"({v}, {w})" for v, w in wrong)
             )
-    return Transcript(V, W, initial_ranks, records, all(r == W for r in bases.rank.tolist()), states)
+    decoded = tuple(
+        topology.holding(v).union(w + 1 for w in bases.units[v - 1]) for v in topology.users
+    )
+    return Transcript(V, W, initial_ranks, records, bool((bases.rank == W).all()), decoded)
 
 
 def _check_segment_limit(W: int):
@@ -212,20 +184,17 @@ def _check_segment_limit(W: int):
         raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
 
 
-def uncoded_broadcast(topology: StorageTopology, slot: int, w: int) -> Broadcast:
+def uncoded_broadcast(topology: StorageTopology, w: int) -> Broadcast:
     """Broadcast of the plain segment w by its lowest-id holder."""
     holders = topology.holders_of(w)
     coefficients = [0] * topology.num_segments
     coefficients[w - 1] = 1
-    return Broadcast(slot, min(holders), tuple(coefficients))
+    return Broadcast(min(holders), tuple(coefficients))
 
 
 def naive_schedule(topology: StorageTopology) -> list[Broadcast]:
     """One uncoded broadcast per segment, in ascending segment order."""
-    return [
-        uncoded_broadcast(topology, slot, w)
-        for slot, w in enumerate(range(1, topology.num_segments + 1))
-    ]
+    return [uncoded_broadcast(topology, w) for w in range(1, topology.num_segments + 1)]
 
 
 class SegmentStore:
@@ -246,15 +215,11 @@ class SegmentStore:
         self.length = matrix.shape[0]
         self.matrix = matrix % P
 
-    def combine(self, coeffs: Mapping[int, int]) -> np.ndarray:
-        """M.c for a sparse coefficient map {segment: coeff}."""
-        W = self.topology.num_segments
-        if any(not 1 <= w <= W for w in coeffs):
-            raise ValueError(f"segments {sorted(coeffs)} outside 1..{W}")
-        cols = np.array([w - 1 for w in coeffs], dtype=np.intp)
-        c = np.array([c % P for c in coeffs.values()], dtype=np.int64)
+    def combine(self, v: np.ndarray) -> np.ndarray:
+        """M.c for a coefficient vector c of W ints in [0, P)."""
+        cols = v.nonzero()[0]
         # W products below P each: the sum stays below 2**42
-        return (self.matrix[:, cols] * c % P).sum(axis=1) % P
+        return (self.matrix[:, cols] * v[cols] % P).sum(axis=1) % P
 
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:

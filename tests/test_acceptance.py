@@ -79,7 +79,7 @@ def test_criterion_1_fixture_exactness():
         "min-cut": h.min_cut(method="exhaustive").capacity == 1,
         "cyclic not quasi-tree": not h.is_quasi_tree(),
         "reduced is quasi-tree": hp.is_quasi_tree(),
-        "representatives": ordered_representatives(hp).order == (3, 5, 4),
+        "representatives": ordered_representatives(hp) == (3, 5, 4),
     }
     elapsed = time.perf_counter() - start
     checks["under 1s"] = elapsed < 1.0

@@ -61,6 +61,13 @@ def test_gen_infeasible_exits_2(capsys):
     assert code == 2
 
 
+def test_gen_refuses_more_extra_edges_than_segments_allow(capsys):
+    code, out, err = run_cli(capsys, "gen", "--users", "5", "--segments", "3",
+                             "--extra-edges", "4", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "segments=3 cannot host 4 extra edges" in err
+
+
 def test_gen_and_analyze_at_200_users(capsys, tmp_path):
     path = tmp_path / "big.json"
     gen = ("gen", "--users", "200", "--segments", "800", "--seed", "1", "--out", str(path))
@@ -155,6 +162,18 @@ def test_coerced_instance_field_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "analyze", "--in", str(path))
     assert code == 2 and "num_users must be an integer" in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("command", [["analyze"], ["run", "--strategy", "naive"]])
+def test_format_version_must_be_the_integer_1(capsys, tmp_path, version, command):
+    doc = json.loads((FIXTURES / "tree-instance.json").read_text())
+    doc["format_version"] = version
+    path = tmp_path / "version.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], "--in", str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert f"unsupported format_version {version!r}" in err
 
 
 def test_non_object_metadata_exits_2(capsys, tmp_path):

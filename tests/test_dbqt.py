@@ -36,15 +36,15 @@ def covered_prefixes(h, order) -> list[frozenset[frozenset[int]]]:
 
 def test_representatives_on_tree_example(tree_h):
     reps = ordered_representatives(tree_h)
-    assert reps.order == (3, 5, 4)
-    covered = covered_prefixes(tree_h, reps.order)
+    assert reps == (3, 5, 4)
+    covered = covered_prefixes(tree_h, reps)
     assert [len(c) for c in covered] == [2, 3, 4]
     assert covered[-1] == tree_h.edge_sets
 
 
 def test_representatives_star_center():
     star = Hypergraph(range(1, 7), [({1, v}, 1) for v in range(2, 7)])
-    assert ordered_representatives(star).order == (1,)
+    assert ordered_representatives(star) == (1,)
 
 
 def test_representatives_require_connected():
@@ -65,14 +65,14 @@ def test_representative_prefixes_stay_connected():
         )
         _topo, h, _placement = random_quasi_tree(cfg)
         reps = ordered_representatives(h)
-        covered = covered_prefixes(h, reps.order)
+        covered = covered_prefixes(h, reps)
         assert covered[-1] == h.edge_sets
         for prefix in covered:
             verts = frozenset().union(*prefix)
             sub = Hypergraph(verts, [(e, h.weight_of(e)) for e in prefix])
             assert sub.is_connected()
         # each later pick touches an edge covered before it
-        for i, v in enumerate(reps.order[1:], start=1):
+        for i, v in enumerate(reps[1:], start=1):
             assert any(v in eset for eset in covered[i - 1])
 
 
@@ -159,11 +159,32 @@ def test_phase_schedule_combination_layout(tree_topology, tree_h):
     reps = ordered_representatives(tree_h)
     phases = plan_phases(tree_topology, tree_h, placement, reps)
     schedule = phase_schedule(tree_topology, phases)
-    assert [b.slot for b in schedule] == [0, 1, 2]
     assert [b.sender for b in schedule] == [3, 5, 4]
     assert schedule[0].coefficients == (0, 1, 1, 0)
     assert schedule[1].coefficients == (0, 0, 1, 1)
     assert schedule[2].coefficients == (1, 0, 0, 1)
+
+
+def test_phase_schedule_sends_vandermonde_columns_on_each_block():
+    """Phase slot tau puts entry (k, tau) of the phase's power matrix on
+    block position k and 0 off the block."""
+    later_slots = 0
+    for seed in range(12):
+        topo, h, placement = random_quasi_tree(GenConfig(9, 40, 4, seed))
+        phases = plan_phases(topo, h, placement, ordered_representatives(h))
+        schedule = iter(phase_schedule(topo, phases))
+        for ph in phases:
+            columns = vandermonde(len(ph.block), ph.broadcast_count)
+            for tau in range(ph.broadcast_count):
+                b = next(schedule)
+                assert b.sender == ph.representative
+                expected = [0] * topo.num_segments
+                for k, w in enumerate(ph.block):
+                    expected[w - 1] = columns[k][tau]
+                assert b.coefficients == tuple(expected)
+                later_slots += tau >= 1
+        assert next(schedule, None) is None
+    assert later_slots  # slots past a phase's first were checked too
 
 
 def test_dbqt_schedule_tree_example(tree_topology):
@@ -179,7 +200,7 @@ def test_dbqt_schedule_loose_path_chain():
     h = Hypergraph([1, 2, 3, 4], [({1, 2}, 1), ({2, 3}, 1), ({3, 4}, 1)])
     topo = from_hypergraph(h)
     plan = dbqt_schedule(topo)
-    assert plan.representatives.order == (2, 3)
+    assert plan.representatives == (2, 3)
     assert plan.num_broadcasts == 2
     assert run_schedule(topo, list(plan.schedule)).complete
 

@@ -115,10 +115,10 @@ def test_combine_columns_hand_values():
     """SegmentStore.combine sums coefficient multiples of store columns."""
     topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1}})
     store = SegmentStore(topo, np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]]))
-    assert store.combine({1: 2, 2: 3}).tolist() == [2, 3, 0, 0]
+    assert store.combine(np.array([2, 3, 0])).tolist() == [2, 3, 0, 0]
     # coefficient P-1 acts as -1
-    assert store.combine({1: P - 1, 2: 1}).tolist() == [P - 1, 1, 0, 0]
-    assert store.combine({}).tolist() == [0, 0, 0, 0]
+    assert store.combine(np.array([P - 1, 1, 0])).tolist() == [P - 1, 1, 0, 0]
+    assert store.combine(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0, 0]
 
 
 def test_combine_sparse_matches_dense():
@@ -130,7 +130,7 @@ def test_combine_sparse_matches_dense():
         expect = [
             sum(int(x) * c for x, c in zip(row, dense)) % P for row in store.matrix.tolist()
         ]
-        assert store.combine(coeffs).tolist() == expect
+        assert store.combine(np.array(dense, dtype=np.int64)).tolist() == expect
 
 
 def test_rank_known_constructions():

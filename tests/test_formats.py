@@ -23,6 +23,7 @@ from hypercast.formats import (
     write_instance,
 )
 from hypercast.general import ExperimentRow
+from hypercast.generators import GenConfig, random_quasi_tree
 from hypercast.sim import naive_schedule, run_schedule
 from conftest import FIXTURES, topologies
 
@@ -133,6 +134,13 @@ def good_doc(tree_topology):
     return doc
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1", 2, None])
+def test_parse_rejects_format_version_other_than_the_integer_1(good_doc, value):
+    good_doc["format_version"] = value
+    with pytest.raises(ValueError, match="unsupported format_version"):
+        parse_instance(good_doc)
+
+
 @pytest.mark.parametrize("value", [2.9, 6.0, True, "6"])
 def test_parse_rejects_non_integer_num_users(good_doc, value):
     good_doc["num_users"] = value
@@ -191,6 +199,21 @@ def test_plan_document_shape(tree_topology):
     assert doc["phases"][1]["bridge_edge"] == [3, 5, 6]
     assert [s["slot"] for s in doc["schedule"]] == [0, 1, 2]
     json.dumps(doc)  # must be JSON-ready
+
+
+def test_writers_number_slots_and_phases_by_position():
+    # a quasi-tree whose phases code blocks of 3 or more segments
+    topo = next(
+        t for t in (random_quasi_tree(GenConfig(8, 30, 3, seed))[0] for seed in range(50))
+        if max(len(ph.block) for ph in dbqt_schedule(t).phases) >= 3
+    )
+    plan = dbqt_schedule(topo)
+    doc = plan_document(plan)
+    assert [ph["index"] for ph in doc["phases"]] == list(range(1, len(plan.phases) + 1))
+    assert [s["slot"] for s in doc["schedule"]] == list(range(plan.num_broadcasts))
+    t = run_schedule(topo, plan.schedule)
+    assert [s["slot"] for s in transcript_document(t)["slots"]] == list(range(t.num_broadcasts))
+    assert t.num_broadcasts == plan.num_broadcasts > len(plan.phases)
 
 
 def test_transcript_document_shape(tree_topology):

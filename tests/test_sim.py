@@ -2,7 +2,8 @@
 
 Ranks and decoded sets are cross-checked against a dense oracle built
 from rank_mod on the stored unit vectors plus every slot's coefficient
-vector, independent of the simulator's sparse basis.  Ranks and the
+vector, independent of the simulator's sparse basis: ranks against each
+slot's record, decoded sets against the run of every prefix.  Ranks and the
 order in which each user decodes are also compared, slot by slot, with
 one dict basis per user (basis_oracle.ColumnBasis), the simulator's
 former per-user design.
@@ -57,19 +58,15 @@ def oracle_decoded(topology, coefficient_vectors, user) -> frozenset[int]:
     return oracle(topology, coefficient_vectors, user)[1]
 
 
-def checking_oracle(topology):
-    """on_slot hook comparing every user's rank and decoded set with the
-    oracle after every slot."""
-    heard = []
-
-    def on_slot(states, record):
-        heard.append(record.coefficients)
-        for s in states:
-            rank, decoded = oracle(topology, heard, s.user)
-            assert (s.rank, s.decoded) == (rank, decoded)
-            assert record.ranks[s.user - 1] == rank
-
-    return on_slot
+def check_oracle(topology, schedule, t):
+    """Compare every user's rank and decoded set with the oracle before
+    and after every slot of the run `t` of `schedule`: the ranks from the
+    transcript, the decoded sets from the run of each prefix."""
+    heard = [b.coefficients for b in schedule]
+    for k, ranks in enumerate([t.initial_ranks] + [r.ranks for r in t.slots]):
+        decoded = run_schedule(topology, schedule[:k]).decoded
+        for v in topology.users:
+            assert (ranks[v - 1], decoded[v - 1]) == oracle(topology, heard[:k], v)
 
 
 def random_in_span_schedule(rng, topology, slots, coeff_range=3):
@@ -86,19 +83,18 @@ def random_in_span_schedule(rng, topology, slots, coeff_range=3):
             a = rng.randrange(coeff_range)
             vec = [(x + a * y) % P for x, y in zip(vec, col)]
         heard.append(vec)
-        out.append(Broadcast(slot, sender, tuple(vec)))
+        out.append(Broadcast(sender, tuple(vec)))
     return out
 
 
 def test_init_states_ranks_and_decoded(tree_topology):
     t = run_schedule(tree_topology, [])
-    states = t.final_states
-    assert [s.rank for s in states] == [1, 1, 2, 2, 2, 1]
-    assert states[2].decoded == frozenset({2, 3})
-    assert states[0].decoded == frozenset({1})
+    assert list(t.initial_ranks) == [1, 1, 2, 2, 2, 1]
+    assert t.decoded[2] == frozenset({2, 3})
+    assert t.decoded[0] == frozenset({1})
     assert not t.complete
-    for s in states:
-        assert s.decoded == oracle_decoded(tree_topology, [], s.user)
+    for v in tree_topology.users:
+        assert t.decoded[v - 1] == oracle_decoded(tree_topology, [], v)
 
 
 def test_init_states_segment_limit():
@@ -111,26 +107,28 @@ def test_init_states_segment_limit():
 
 def test_apply_broadcast_two_users():
     topo = StorageTopology(2, {1: {1}, 2: {2}})
-    states = run_schedule(topo, [Broadcast(0, 1, (1, 0))]).final_states
-    assert states[1].rank == 2
-    assert states[1].decoded == frozenset({1, 2})
+    t = run_schedule(topo, [Broadcast(1, (1, 0))])
+    assert t.slots[-1].ranks[1] == 2
+    assert t.decoded[1] == frozenset({1, 2})
     # sender's own broadcast adds nothing
-    assert states[0].rank == 1
+    assert t.slots[-1].ranks[0] == 1
 
 
 def test_triangle_hand_worked_run():
     topo = StorageTopology(3, TRIANGLE)
     # user 3 mixes its two stored segments 1 and 3
-    first = Broadcast(0, 3, (1, 0, 1))
-    states = run_schedule(topo, [first]).final_states
-    assert states[0].rank == 3 and states[0].decoded == frozenset({1, 2, 3})
-    assert states[1].rank == 3
-    assert states[2].rank == 2 and states[2].decoded == frozenset({1, 3})
+    first = Broadcast(3, (1, 0, 1))
+    t = run_schedule(topo, [first])
+    ranks = t.slots[-1].ranks
+    assert ranks[0] == 3 and t.decoded[0] == frozenset({1, 2, 3})
+    assert ranks[1] == 3
+    assert ranks[2] == 2 and t.decoded[2] == frozenset({1, 3})
     # plain segment 2 finishes user 3; its lowest holder is user 1
-    b = uncoded_broadcast(topo, 1, 2)
+    b = uncoded_broadcast(topo, 2)
     assert b.sender == 1 and b.coefficients == (0, 1, 0)
-    t = run_schedule(topo, [first, b], on_slot=checking_oracle(topo))
-    assert t.complete and all(s.rank == 3 for s in t.final_states)
+    t = run_schedule(topo, [first, b])
+    check_oracle(topo, [first, b], t)
+    assert t.complete and all(r == 3 for r in t.slots[-1].ranks)
 
 
 def test_broadcast_validation_sender_length_and_span(tree_topology):
@@ -138,23 +136,23 @@ def test_broadcast_validation_sender_length_and_span(tree_topology):
         return run_schedule(tree_topology, [b])
 
     with pytest.raises(ValueError):
-        run(Broadcast(0, 9, (1, 0, 0, 0)))  # no user 9
+        run(Broadcast(9, (1, 0, 0, 0)))  # no user 9
     with pytest.raises(ValueError):
-        run(Broadcast(0, 3, (0, 1, 1)))  # three coefficients for four segments
+        run(Broadcast(3, (0, 1, 1)))  # three coefficients for four segments
     with pytest.raises(ValueError):
-        run(Broadcast(0, 1, (0, 1, 0, 0)))  # user 1 does not know segment 2
+        run(Broadcast(1, (0, 1, 0, 0)))  # user 1 does not know segment 2
     # a combination the sender can form passes
-    assert run(Broadcast(0, 1, (1, 0, 0, 0))).num_broadcasts == 1
+    assert run(Broadcast(1, (1, 0, 0, 0))).num_broadcasts == 1
     # so does one mixing what the sender received; user 1 then knows
     # segment 1 and the sum of segments 2 and 3, not either of them
-    heard = Broadcast(0, 3, (0, 1, 1, 0))
-    run_schedule(tree_topology, [heard, Broadcast(1, 1, (5, 2, 2, 0))])
+    heard = Broadcast(3, (0, 1, 1, 0))
+    run_schedule(tree_topology, [heard, Broadcast(1, (5, 2, 2, 0))])
     with pytest.raises(ValueError):
-        run_schedule(tree_topology, [heard, Broadcast(1, 1, (5, 1, 2, 0))])
+        run_schedule(tree_topology, [heard, Broadcast(1, (5, 1, 2, 0))])
 
 
 def test_uncoded_broadcast_positions(tree_topology):
-    b = uncoded_broadcast(tree_topology, 0, 4)
+    b = uncoded_broadcast(tree_topology, 4)
     # holders of 4 are {4, 5}; the lowest id sends
     assert b.sender == 4
     assert b.coefficients == (0, 0, 0, 1)
@@ -178,13 +176,6 @@ def test_naive_schedule_completes_everything(tree_topology, cyclic_topology, tri
         assert prev == tuple([topo.num_segments] * topo.num_users)
 
 
-def test_run_schedule_slot_numbering(tree_topology):
-    schedule = naive_schedule(tree_topology)
-    bad = [Broadcast(1, schedule[0].sender, schedule[0].coefficients)]
-    with pytest.raises(ValueError):
-        run_schedule(tree_topology, bad)
-
-
 def test_run_schedule_tracks_remaining_edges(tree_topology):
     t = run_schedule(tree_topology, naive_schedule(tree_topology))
     counts = [rec.remaining_edges for rec in t.slots]
@@ -195,39 +186,32 @@ def test_run_schedule_tracks_remaining_edges(tree_topology):
 def test_remaining_edges_start_and_end(tree_topology):
     h, placement, _ = tree_topology.to_hypergraph()
 
-    def oracle_remaining(states):
-        known_by_all = frozenset.intersection(*(s.decoded for s in states))
+    def oracle_remaining(decoded):
+        known_by_all = frozenset.intersection(*decoded)
         return sum(1 for e in h.edges if not set(placement[e.vertices]) <= known_by_all)
 
-    assert oracle_remaining(run_schedule(tree_topology, []).final_states) == len(h.edges)
-    seen = []
-
-    def on_slot(states, record):
-        assert record.remaining_edges == oracle_remaining(states)
-        seen.append(record.remaining_edges)
-
+    assert oracle_remaining(run_schedule(tree_topology, []).decoded) == len(h.edges)
     for schedule in (naive_schedule(tree_topology), list(dbqt_schedule(tree_topology).schedule)):
-        seen.clear()
-        run_schedule(tree_topology, schedule, on_slot=on_slot)
-        assert seen[-1] == 0
+        t = run_schedule(tree_topology, schedule)
+        for k, record in enumerate(t.slots, start=1):
+            decoded = run_schedule(tree_topology, schedule[:k]).decoded
+            assert record.remaining_edges == oracle_remaining(decoded)
+        assert t.slots[-1].remaining_edges == 0
 
 
 def test_random_mixes_respect_rank_laws(tree_topology):
     rng = random.Random(13)
     for _ in range(20):
         schedule = random_in_span_schedule(rng, tree_topology, 6)
-        before = [s.rank for s in run_schedule(tree_topology, []).final_states]
-        check = checking_oracle(tree_topology)
-
-        def on_slot(states, record):
-            after = list(record.ranks)
+        t = run_schedule(tree_topology, schedule)
+        before = t.initial_ranks
+        for record in t.slots:
+            after = record.ranks
             assert all(a <= b <= a + 1 for a, b in zip(before, after))
             # the sender never learns from its own transmission
             assert after[record.sender - 1] == before[record.sender - 1]
-            check(states, record)
-            before[:] = after
-
-        run_schedule(tree_topology, schedule, on_slot=on_slot)
+            before = after
+        check_oracle(tree_topology, schedule, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,18 +219,19 @@ def test_random_mixes_respect_rank_laws(tree_topology):
 def test_property_sparse_basis_matches_dense_oracle(topo, seed, slots):
     rng = random.Random(seed)
     schedule = random_in_span_schedule(rng, topo, slots, coeff_range=P)
-    t = run_schedule(topo, schedule, on_slot=checking_oracle(topo))
+    t = run_schedule(topo, schedule)
+    check_oracle(topo, schedule, t)
     heard = [b.coefficients for b in schedule]
     # a user lacking segment w cannot send it
-    for s in t.final_states:
-        lacking = sorted(set(range(1, topo.num_segments + 1)) - s.decoded)
+    for v in topo.users:
+        lacking = sorted(set(range(1, topo.num_segments + 1)) - t.decoded[v - 1])
         if lacking:
             assert lacking == sorted(
-                set(range(1, topo.num_segments + 1)) - oracle_decoded(topo, heard, s.user)
+                set(range(1, topo.num_segments + 1)) - oracle_decoded(topo, heard, v)
             )
             vec = [0] * topo.num_segments
             vec[lacking[0] - 1] = 1
-            out_of_span = Broadcast(len(schedule), s.user, tuple(vec))
+            out_of_span = Broadcast(v, tuple(vec))
             with pytest.raises(ValueError):
                 run_schedule(topo, schedule + [out_of_span])
 
@@ -307,8 +292,8 @@ def test_completion_broadcasts_what_is_missing(tree_topology):
     assert t.complete
     tail = t.schedule[1:]
     assert all(sum(1 for c in b.coefficients if c) == 1 for b in tail)
-    missing = [w for w in range(1, 5) if not all(w in s.decoded for s in run_schedule(
-        tree_topology, coded[:1]).final_states)]
+    missing = [w for w in range(1, 5) if not all(w in d for d in run_schedule(
+        tree_topology, coded[:1]).decoded)]
     assert [b.coefficients.index(1) + 1 for b in tail] == missing
     assert run_schedule(tree_topology, coded, completion=True).num_broadcasts == len(coded)
 
@@ -328,8 +313,6 @@ def test_materialize_payloads_honors_declared_length():
     store = materialize_payloads(topo, seed=1)
     assert store.length == 9
     assert store.matrix.shape == (9, 2)
-    with pytest.raises(ValueError):
-        store.combine({3: 1})
 
 
 def test_verify_payload_run_accepts_honest_schedules(tree_topology, triangle_topology):
@@ -354,18 +337,17 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
     schedule = list(dbqt_schedule(tree_topology).schedule)
     assert verify_payload_run(store, schedule)
 
-    def flipped(coeffs):
-        w = min(coeffs)
-        return {**coeffs, w: (coeffs[w] + 1) % P}
+    def flipped(v):
+        w = int(np.flatnonzero(v)[0])
+        v = v.copy()
+        v[w] = (v[w] + 1) % P
+        return v
 
     # every user's formed payload, the sender's among them, uses flipped coefficients
     honest_combine = UserBases.combine
 
     def combine(self, v):
-        w = int(np.flatnonzero(v)[0])
-        v = v.copy()
-        v[w] = (v[w] + 1) % P
-        return honest_combine(self, v)
+        return honest_combine(self, flipped(v))
 
     monkeypatch.setattr(UserBases, "combine", combine)
     with pytest.raises(PayloadMismatch, match="slot 0"):
@@ -375,7 +357,7 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
 
     # slot 0 (sender 3, segments 2 and 3) lets user 2 decode segment 3
     honest_insert = UserBases.insert
-    first = {w: c for w, c in enumerate(schedule[0].coefficients, start=1) if c}
+    first = np.array(schedule[0].coefficients, dtype=np.int64)
     calls = []
 
     def insert(self, residuals, payloads=None):
@@ -396,3 +378,19 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
     mismatches = [(int(v), int(w)) for v, w in re.findall(r"\((\d+), (\d+)\)", str(caught.value))]
     # the error then spreads to what user 2 decodes later, and no further
     assert mismatches == [(2, 3), (2, 4), (2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), slots=st.integers(0, 6),
+       coeff_range=st.sampled_from([2, 3, P]))
+def test_property_decoded_matches_dense_oracle_after_every_prefix(topo, seed, slots, coeff_range):
+    """Transcript.decoded of every prefix of a run, its uncoded completion
+    included, is the oracle's decoded set."""
+    rng = random.Random(seed)
+    schedule = run_schedule(
+        topo, random_in_span_schedule(rng, topo, slots, coeff_range), completion=True
+    ).schedule
+    heard = [b.coefficients for b in schedule]
+    for k in range(len(schedule) + 1):
+        decoded = run_schedule(topo, schedule[:k]).decoded
+        assert decoded == tuple(oracle_decoded(topo, heard[:k], v) for v in topo.users)
