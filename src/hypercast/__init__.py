@@ -46,14 +46,7 @@ from .general import (
     run_experiment,
     spanning_quasi_tree,
 )
-from .generators import (
-    GenConfig,
-    GenerationError,
-    add_cycle_edges,
-    derive_seed,
-    random_instance,
-    random_quasi_tree,
-)
+from .generators import GenerationError, derive_seed, random_instance
 from .hypergraph import (
     Cut,
     Edge,
@@ -72,7 +65,7 @@ from .sim import (
     uncoded_broadcast,
     verify_payload_run,
 )
-from .topology import StorageTopology, from_hypergraph
+from .topology import StorageTopology
 
 __version__ = "0.1.0"
 
@@ -84,7 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRow",
     "FORMAT_VERSION",
-    "GenConfig",
     "GeneralRunResult",
     "GenerationError",
     "Hypergraph",
@@ -99,7 +91,6 @@ __all__ = [
     "SlotRecord",
     "StorageTopology",
     "Transcript",
-    "add_cycle_edges",
     "dbqt_general",
     "dbqt_schedule",
     "decodable_with",
@@ -107,7 +98,6 @@ __all__ = [
     "dumps_document",
     "dumps_instance",
     "experiment_csv",
-    "from_hypergraph",
     "instance_digest",
     "instance_document",
     "inv_mod",
@@ -123,7 +113,6 @@ __all__ = [
     "plan_document",
     "plan_phases",
     "random_instance",
-    "random_quasi_tree",
     "rank_mod",
     "read_instance",
     "run_experiment",

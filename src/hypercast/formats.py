@@ -168,7 +168,7 @@ def parse_instance(doc) -> tuple[StorageTopology, dict]:
 def loads_instance(text: str) -> tuple[StorageTopology, dict]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to read
         raise ValueError(f"instance file is not valid JSON: {exc}") from exc
     return parse_instance(doc)
 

@@ -14,7 +14,7 @@ from .hypergraph import Hypergraph
 
 PlacementMap = dict  # frozenset[int] -> tuple[int, ...]
 
-__all__ = ["StorageTopology", "PlacementMap", "from_hypergraph"]
+__all__ = ["StorageTopology", "PlacementMap"]
 
 
 class StorageTopology:
@@ -133,47 +133,3 @@ class StorageTopology:
         return (
             f"StorageTopology(users={self.num_users}, segments={self._num_segments})"
         )
-
-
-def from_hypergraph(h: Hypergraph, placement: PlacementMap | None = None) -> StorageTopology:
-    """Topology realizing a hypergraph by materializing its segments.
-
-    Without a placement, segment ids 1..W are assigned in sorted edge
-    order, each edge receiving weight-many consecutive ids.  A supplied
-    placement must give each edge exactly weight-many ids and use ids
-    1..W exactly once overall.
-    """
-    vs = sorted(h.vertices)
-    V = len(vs)
-    if vs != list(range(1, V + 1)):
-        raise ValueError(f"vertices must be exactly 1..{V} to form a topology, got {vs}")
-    for e in h.edges:
-        if len(e.vertices) >= V:
-            raise ValueError(
-                f"edge {sorted(e.vertices)} spans all {V} users; topologies need "
-                "every edge to exclude at least one user"
-            )
-    if placement is None:
-        placement = {}
-        nxt = 1
-        for e in h.edges:
-            placement[e.vertices] = tuple(range(nxt, nxt + e.weight))
-            nxt += e.weight
-    else:
-        if set(placement) != set(h.edge_sets):
-            raise ValueError("placement keys must be exactly the edge vertex sets")
-        for e in h.edges:
-            if len(placement[e.vertices]) != e.weight:
-                raise ValueError(
-                    f"edge {sorted(e.vertices)} has weight {e.weight} but "
-                    f"{len(placement[e.vertices])} placed segments"
-                )
-    all_ids = sorted(w for ids in placement.values() for w in ids)
-    W = h.total_weight
-    if all_ids != list(range(1, W + 1)):
-        raise ValueError(f"placement must use segment ids 1..{W} exactly once")
-    holdings: dict[int, set[int]] = {v: set() for v in vs}
-    for eset, ids in placement.items():
-        for v in eset:
-            holdings[v].update(ids)
-    return StorageTopology(W, holdings)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hypercast import Hypergraph, StorageTopology
+from hypercast.generators import random_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -75,6 +76,13 @@ def tree_h() -> Hypergraph:
 def disconnected_topology() -> StorageTopology:
     # two islands: segments 1,2 on {1,2}, segment 3 on {3,4}
     return StorageTopology(3, {1: {1, 2}, 2: {1, 2}, 3: {3}, 4: {3}})
+
+
+def generated_model(users: int, segments: int, extra: int, max_size: int, seed: int):
+    """A generated instance with its model hypergraph and placement."""
+    topo = random_instance(users, segments, extra, max_size, seed)
+    h, placement, _leftovers = topo.to_hypergraph()
+    return topo, h, placement
 
 
 def random_subset(rng: random.Random, items, lo: int, hi: int) -> set[int]:

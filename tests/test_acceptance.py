@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from hypercast import Hypergraph, StorageTopology, from_hypergraph
+from hypercast import Hypergraph, StorageTopology
 from hypercast.cli import main
 from hypercast.dbqt import dbqt_schedule, decodable_with, ordered_representatives
 from hypercast.general import (
@@ -21,9 +21,9 @@ from hypercast.general import (
     min_degree_bound,
     run_experiment,
 )
-from hypercast.generators import GenConfig, random_quasi_tree
+from hypercast.generators import random_instance
 from hypercast.sim import materialize_payloads, run_schedule, verify_payload_run
-from conftest import CYCLIC_HOLDINGS, TREE_HOLDINGS, random_subset
+from conftest import CYCLIC_HOLDINGS, TREE_HOLDINGS, generated_model, random_subset
 import random
 
 
@@ -40,13 +40,7 @@ def quasi_tree_corpus():
         users = 3 + (i % 10)
         size_cap = 2 + (i // 10) % min(3, users - 2)
         segments = min(64, max(users, 5 + (i * 13) % 60))
-        cfg = GenConfig(
-            num_users=users,
-            num_segments=segments,
-            max_edge_size=size_cap,
-            seed=9000 + i,
-        )
-        topo, h, placement = random_quasi_tree(cfg)
+        topo, h, placement = generated_model(users, segments, 0, size_cap, 9000 + i)
         assert 3 <= h.num_vertices <= 12
         assert len(h.edges) <= 12
         assert topo.num_segments <= 64
@@ -225,13 +219,9 @@ def test_criterion_8_payload_and_coefficient_levels_agree():
     failures = 0
     for i in range(20):
         users = 4 + i % 6
-        cfg = GenConfig(
-            num_users=users,
-            num_segments=max(users, 6 + (i * 5) % 20),
-            max_edge_size=2 + i % min(3, users - 2),
-            seed=7700 + i,
+        topo = random_instance(
+            users, max(users, 6 + (i * 5) % 20), 0, 2 + i % min(3, users - 2), 7700 + i
         )
-        topo, _h, _placement = random_quasi_tree(cfg)
         plan = dbqt_schedule(topo)
         store = materialize_payloads(topo, seed=i)
         assert store.length == topo.num_segments + 1

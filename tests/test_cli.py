@@ -1,6 +1,7 @@
 """Command-line surface tests, driven in-process through main()."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import hypercast.cli
 import hypercast.general
+import hypercast.generators
 import hypercast.sim
 from hypercast.cli import main
 from hypercast.formats import loads_instance
@@ -68,6 +70,35 @@ def test_gen_refuses_more_extra_edges_than_segments_allow(capsys):
     assert "segments=3 cannot host 4 extra edges" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # a negative count is refused before any tree is grown
+        (("--segments", "10", "--extra-edges", "-1"), "extra edge count must be >= 0, got -1"),
+        (("--segments", "0"), "need at least 1 segment, got 0"),
+        (("--segments", "0", "--extra-edges", "2"), "need at least 1 segment, got 0"),
+        (("--segments", "2", "--extra-edges", "2"), "segments=2 cannot host 2 extra edges"),
+    ],
+)
+def test_gen_refusals_name_the_first_bad_flag(capsys, monkeypatch, flags, message):
+    def grow(*args):
+        raise AssertionError("a tree was grown for refused flags")
+
+    monkeypatch.setattr(hypercast.generators, "_grow_skeleton", grow)
+    code, out, err = run_cli(capsys, "gen", "--users", "5", "--seed", "1", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_experiment_refuses_zero_segments(capsys):
+    code, out, err = run_cli(
+        capsys, "experiment", "--users-list", "5", "--segments-list", "0",
+        "--trials", "1", "--extra-edges", "0", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need at least 1 segment, got 0\n"
+
+
 def test_gen_and_analyze_at_200_users(capsys, tmp_path):
     path = tmp_path / "big.json"
     gen = ("gen", "--users", "200", "--segments", "800", "--seed", "1", "--out", str(path))
@@ -96,6 +127,27 @@ def test_gen_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second != ""
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("gen", "--users", "8", "--segments", "18", "--seed", "7", "--extra-edges", "2"),
+         "da509a631cb016bcd2e2e574b731fda6e8a6c7d9f15ac3cd03e65c6116fd4de6"),
+        (("gen", "--users", "30", "--segments", "120", "--seed", "1", "--extra-edges", "3"),
+         "969a725f899cbc5b034ada2689e1b0081148f08db3720290561dc2a1cc7df5ad"),
+        (("gen", "--users", "200", "--segments", "800", "--seed", "1", "--extra-edges", "0"),
+         "14b3e54b8b39bf170b87958f20113498789922e51026551512395b92219fc538"),
+        (("experiment", "--users-list", "5,6", "--segments-list", "9", "--trials", "4",
+          "--extra-edges", "1", "--seed", "13"),
+         "bdfc07dcff11161a6c1d5f3a8fa39d89dad0f3c1133bd558f085d077b3727d1d"),
+    ],
+)
+def test_generator_output_bytes_are_pinned(capsys, argv, digest):
+    # the drawn instances themselves, not only their run-to-run repeatability
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_tree_fixture(capsys):
@@ -153,6 +205,14 @@ def test_analyze_one_user_reports_no_cut(capsys, tmp_path):
 def test_analyze_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
     assert code == 2 and "error" in err
+
+
+def test_deeply_nested_instance_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: instance file is not valid JSON: ")
 
 
 def test_coerced_instance_field_exits_2(capsys, tmp_path):

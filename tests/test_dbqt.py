@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hypercast import Hypergraph, StorageTopology, from_hypergraph
+from hypercast import Hypergraph, StorageTopology
 from hypercast.dbqt import (
     NotQuasiTreeError,
     PlanError,
@@ -18,7 +18,7 @@ from hypercast.dbqt import (
 )
 from hypercast.field import P
 from hypercast.sim import run_schedule
-from hypercast.generators import GenConfig, random_quasi_tree
+from conftest import generated_model
 
 
 # -- representative ordering -------------------------------------------
@@ -57,13 +57,9 @@ def test_representative_prefixes_stay_connected():
     rng = random.Random(19)
     for trial in range(40):
         users = rng.randint(3, 10)
-        cfg = GenConfig(
-            num_users=users,
-            num_segments=rng.randint(users, 20),
-            max_edge_size=rng.randint(2, min(4, users - 1)),
-            seed=trial,
-        )
-        _topo, h, _placement = random_quasi_tree(cfg)
+        segments = rng.randint(users, 20)
+        max_size = rng.randint(2, min(4, users - 1))
+        _topo, h, _placement = generated_model(users, segments, 0, max_size, trial)
         reps = ordered_representatives(h)
         covered = covered_prefixes(h, reps)
         assert covered[-1] == h.edge_sets
@@ -170,7 +166,7 @@ def test_phase_schedule_sends_vandermonde_columns_on_each_block():
     block position k and 0 off the block."""
     later_slots = 0
     for seed in range(12):
-        topo, h, placement = random_quasi_tree(GenConfig(9, 40, 4, seed))
+        topo, h, placement = generated_model(9, 40, 0, 4, seed)
         phases = plan_phases(topo, h, placement, ordered_representatives(h))
         schedule = iter(phase_schedule(topo, phases))
         for ph in phases:
@@ -197,8 +193,8 @@ def test_dbqt_schedule_tree_example(tree_topology):
 
 
 def test_dbqt_schedule_loose_path_chain():
-    h = Hypergraph([1, 2, 3, 4], [({1, 2}, 1), ({2, 3}, 1), ({3, 4}, 1)])
-    topo = from_hypergraph(h)
+    # segments 1, 2, 3 on the pairs {1,2}, {2,3}, {3,4}
+    topo = StorageTopology(3, {1: {1}, 2: {1, 2}, 3: {2, 3}, 4: {3}})
     plan = dbqt_schedule(topo)
     assert plan.representatives == (2, 3)
     assert plan.num_broadcasts == 2
@@ -206,8 +202,8 @@ def test_dbqt_schedule_loose_path_chain():
 
 
 def test_dbqt_schedule_weighted_tree():
-    h = Hypergraph([1, 2, 3, 4], [({1, 2, 3}, 3), ({3, 4}, 2)])
-    topo = from_hypergraph(h)
+    # segments 1..3 on {1,2,3} and 4, 5 on {3,4}
+    topo = StorageTopology(5, {1: {1, 2, 3}, 2: {1, 2, 3}, 3: {1, 2, 3, 4, 5}, 4: {4, 5}})
     plan = dbqt_schedule(topo)
     assert plan.delta == 2
     assert plan.num_broadcasts == topo.num_segments - 2
@@ -216,7 +212,7 @@ def test_dbqt_schedule_weighted_tree():
 
 def test_dbqt_schedule_rejects_disconnected_model():
     # third user stores nothing, so the model leaves it isolated
-    topo = from_hypergraph(Hypergraph([1, 2, 3], [({1, 2}, 3)]))
+    topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1, 2, 3}, 3: ()})
     with pytest.raises(PlanError):
         dbqt_schedule(topo)
 

@@ -23,7 +23,7 @@ from hypercast.formats import (
     write_instance,
 )
 from hypercast.general import ExperimentRow
-from hypercast.generators import GenConfig, random_quasi_tree
+from hypercast.generators import random_instance
 from hypercast.sim import naive_schedule, run_schedule
 from conftest import FIXTURES, topologies
 
@@ -204,7 +204,7 @@ def test_plan_document_shape(tree_topology):
 def test_writers_number_slots_and_phases_by_position():
     # a quasi-tree whose phases code blocks of 3 or more segments
     topo = next(
-        t for t in (random_quasi_tree(GenConfig(8, 30, 3, seed))[0] for seed in range(50))
+        t for t in (random_instance(8, 30, 0, 3, seed) for seed in range(50))
         if max(len(ph.block) for ph in dbqt_schedule(t).phases) >= 3
     )
     plan = dbqt_schedule(topo)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import topologies
-from hypercast import Hypergraph, StorageTopology, from_hypergraph
+from hypercast import Hypergraph, StorageTopology
 from hypercast.general import (
     ExperimentConfig,
     dbqt_general,
@@ -19,7 +19,7 @@ from hypercast.general import (
 )
 from hypercast.dbqt import dbqt_schedule
 from hypercast.sim import naive_schedule, run_schedule
-from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
+from hypercast.generators import random_instance
 
 
 def test_spanning_reduction_drops_cycle_edge(cyclic_h, tree_h):
@@ -199,15 +199,10 @@ def test_dbqt_general_random_cyclic_instances_stay_in_band():
     rng = random.Random(53)
     for trial in range(25):
         users = rng.randint(4, 9)
-        cfg = GenConfig(
-            num_users=users,
-            num_segments=rng.randint(users, 24),
-            max_edge_size=rng.randint(2, min(3, users - 1)),
-            seed=1000 + trial,
-        )
-        _topo, h, placement = random_quasi_tree(cfg)
-        h, placement = add_cycle_edges(h, placement, rng.randint(1, 2), trial, max_size=3)
-        topo = from_hypergraph(h, placement)
+        tree_segments = rng.randint(users, 24)
+        max_size = rng.randint(2, min(3, users - 1))
+        extra = rng.randint(1, 2)
+        topo = random_instance(users, tree_segments + extra, extra, max_size, 1000 + trial)
         result, transcript = dbqt_general(topo)
         W = topo.num_segments
         assert result.lower_bound <= result.total_broadcasts <= W

@@ -2,15 +2,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from hypercast import Hypergraph
-from hypercast.generators import (
-    GenConfig,
-    GenerationError,
-    add_cycle_edges,
-    derive_seed,
-    random_quasi_tree,
-)
+from hypercast import Hypergraph, StorageTopology
+from hypercast.generators import GenerationError, derive_seed, random_instance
+from conftest import generated_model
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -22,36 +18,42 @@ def test_derive_seed_is_stable_and_sensitive():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(num_users=2, num_segments=3)
-    with pytest.raises(ValueError):
-        GenConfig(num_users=4, num_segments=3, max_edge_size=1)
-    with pytest.raises(ValueError):
-        GenConfig(num_users=4, num_segments=3, max_edge_size=4)
-    with pytest.raises(ValueError):
-        GenConfig(num_users=4, num_segments=0)
+    with pytest.raises(ValueError, match="extra edge count must be >= 0, got -1"):
+        random_instance(4, 3, -1, 3, 0)
+    with pytest.raises(ValueError, match="need at least 3 users"):
+        random_instance(2, 3, 0, 3, 0)
+    with pytest.raises(ValueError, match="max_edge_size must be in 2..3"):
+        random_instance(4, 3, 0, 1, 0)
+    with pytest.raises(ValueError, match="max_edge_size must be in 2..3"):
+        random_instance(4, 3, 0, 4, 0)
+    with pytest.raises(ValueError, match="need at least 1 segment, got 0"):
+        random_instance(4, 0, 0, 3, 0)
+    with pytest.raises(GenerationError, match="segments=3 cannot host 3 extra edges"):
+        random_instance(4, 3, 3, 3, 0)
 
 
 def test_infeasible_segment_budget():
     # 9 users need at least 4 size-3 edges, so 3 segments cannot weight them
     with pytest.raises(GenerationError):
-        random_quasi_tree(GenConfig(num_users=9, num_segments=3))
+        random_instance(9, 3, 0, 3, 0)
 
 
 def test_smallest_config():
-    topo, h, placement = random_quasi_tree(GenConfig(num_users=3, num_segments=2, max_edge_size=2))
+    topo, h, placement = generated_model(3, 2, 0, 2, 0)
     assert topo.num_users == 3
     assert topo.num_segments == 2
     assert h.is_quasi_tree()
     assert sum(len(ids) for ids in placement.values()) == 2
 
 
-def assert_quasi_tree_with_exact_weights(cfg: GenConfig) -> Hypergraph:
-    _topo, h, _placement = random_quasi_tree(cfg)
+def assert_quasi_tree_with_exact_weights(
+    users: int, segments: int, max_size: int, seed: int
+) -> Hypergraph:
+    _topo, h, _placement = generated_model(users, segments, 0, max_size, seed)
     assert h.is_quasi_tree()
-    assert h.num_vertices == cfg.num_users
-    assert h.total_weight == cfg.num_segments
-    assert all(len(e.vertices) <= cfg.max_edge_size for e in h.edges)
+    assert h.num_vertices == users
+    assert h.total_weight == segments
+    assert all(len(e.vertices) <= max_size for e in h.edges)
     return h
 
 
@@ -67,26 +69,20 @@ def test_many_seeds_all_quasi_trees_with_exact_weights():
     for seed in range(500):
         users = 3 + seed % 10
         segments = max(users, 4 + seed % 60)
-        cfg = GenConfig(
-            num_users=users,
-            num_segments=segments,
-            max_edge_size=2 + seed % min(3, users - 2),
-            seed=seed,
-        )
-        topo, h, placement = random_quasi_tree(cfg)
+        max_size = 2 + seed % min(3, users - 2)
+        topo = random_instance(users, segments, 0, max_size, seed)
+        h, placement, leftovers = topo.to_hypergraph()
+        assert leftovers == {}
         assert h.is_quasi_tree()
         assert h.num_vertices == users
         assert h.total_weight == segments
         assert topo.num_segments == segments
-        assert all(len(e.vertices) <= cfg.max_edge_size for e in h.edges)
+        assert all(len(e.vertices) <= max_size for e in h.edges)
         # placement ids partition 1..W and sizes match the weights
         ids = sorted(w for ws in placement.values() for w in ws)
         assert ids == list(range(1, segments + 1))
         for e in h.edges:
             assert len(placement[e.vertices]) == e.weight
-        # model round trip agrees
-        h2, placement2, leftovers = topo.to_hypergraph()
-        assert h2 == h and placement2 == placement and leftovers == {}
         cyclic += has_cycle(h)
     # overlay edges make genuine quasi-trees with cycles, not only hypertrees
     assert cyclic > 0
@@ -95,7 +91,7 @@ def test_many_seeds_all_quasi_trees_with_exact_weights():
 @pytest.mark.parametrize("users", [100, 200, 500])
 def test_large_quasi_trees_on_every_seed(users):
     for seed in range(10):
-        assert_quasi_tree_with_exact_weights(GenConfig(users, 4 * users, 3, seed))
+        assert_quasi_tree_with_exact_weights(users, 4 * users, 3, seed)
 
 
 def test_tightest_segment_budget_always_suffices():
@@ -104,53 +100,91 @@ def test_tightest_segment_budget_always_suffices():
         for size in range(2, min(5, users - 1) + 1):
             budget = -(-(users - 1) // (size - 1))
             for seed in range(5):
-                h = assert_quasi_tree_with_exact_weights(GenConfig(users, budget, size, seed))
+                h = assert_quasi_tree_with_exact_weights(users, budget, size, seed)
                 assert len(h.edges) == budget
 
 
 def test_same_seed_same_instance():
-    cfg = GenConfig(num_users=7, num_segments=15, seed=123)
-    a = random_quasi_tree(cfg)
-    b = random_quasi_tree(cfg)
-    assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
-    c = random_quasi_tree(GenConfig(num_users=7, num_segments=15, seed=124))
-    assert a[0] != c[0]
+    a = random_instance(7, 15, 0, 3, 123)
+    assert a == random_instance(7, 15, 0, 3, 123)
+    assert a != random_instance(7, 15, 0, 3, 124)
 
 
-def test_add_cycle_edges_identity_for_zero(tree_h):
-    placement = {e.vertices: (i + 1,) for i, e in enumerate(tree_h.edges)}
-    h2, p2 = add_cycle_edges(tree_h, placement, 0, seed=5, max_size=3)
-    assert h2 == tree_h and p2 == placement
+@pytest.mark.parametrize("extra", [0, 2])
+def test_one_quasi_tree_check_and_one_topology_per_instance(monkeypatch, extra):
+    calls = {"is_quasi_tree": 0, "StorageTopology": 0}
+    is_quasi_tree, init = Hypergraph.is_quasi_tree, StorageTopology.__init__
+
+    def counted_check(self):
+        calls["is_quasi_tree"] += 1
+        return is_quasi_tree(self)
+
+    def counted_init(self, *args, **kwargs):
+        calls["StorageTopology"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hypergraph, "is_quasi_tree", counted_check)
+    monkeypatch.setattr(StorageTopology, "__init__", counted_init)
+    random_instance(12, 40, extra, 3, 1)
+    assert calls == {"is_quasi_tree": 1, "StorageTopology": 1}
 
 
-def test_add_cycle_edges_breaks_quasi_tree(tree_h, tree_topology):
-    _, placement, _ = tree_topology.to_hypergraph()
-    h2, p2 = add_cycle_edges(tree_h, placement, 1, seed=5, max_size=3)
-    assert h2.is_connected()
-    assert not h2.is_quasi_tree()
-    assert h2.total_weight == tree_h.total_weight + 1
+def test_add_cycle_edges_identity_for_zero():
+    # zero extra edges give the quasi-tree that every overlay is drawn on
+    for seed in range(20):
+        tree = random_instance(7, 12, 0, 3, seed)
+        assert tree.to_hypergraph()[0].is_quasi_tree()
+        for k in (1, 2):
+            topo = random_instance(7, 12 + k, k, 3, seed)
+            assert all(topo.holding(v) - {13, 14} == tree.holding(v) for v in tree.users)
+
+
+def test_add_cycle_edges_breaks_quasi_tree():
+    _tree, tree_h, _ = generated_model(6, 4, 0, 3, 5)
+    _topo, h, placement = generated_model(6, 5, 1, 3, 5)
+    assert h.is_connected()
+    assert not h.is_quasi_tree()
+    assert h.total_weight == tree_h.total_weight + 1
     # the fresh segment continues the id sequence
-    new_sets = h2.edge_sets - tree_h.edge_sets
+    new_sets = h.edge_sets - tree_h.edge_sets
     assert len(new_sets) == 1
-    assert p2[next(iter(new_sets))] == (5,)
+    assert placement[next(iter(new_sets))] == (5,)
 
 
-def test_add_cycle_edges_requires_quasi_tree():
-    tri = Hypergraph([1, 2, 3], [({1, 2}, 1), ({2, 3}, 1), ({1, 3}, 1)])
-    placement = {e.vertices: (i + 1,) for i, e in enumerate(tri.edges)}
-    with pytest.raises(ValueError):
-        add_cycle_edges(tri, placement, 1, seed=0, max_size=3)
-
-
-def test_add_cycle_edges_many_seeds(tree_h, tree_topology):
-    _, placement, _ = tree_topology.to_hypergraph()
+def test_add_cycle_edges_many_seeds():
     seen = set()
     for seed in range(200):
-        h2, p2 = add_cycle_edges(tree_h, placement, 2, seed=seed, max_size=3)
-        assert h2.is_connected() and not h2.is_quasi_tree()
-        assert h2.total_weight == 6
-        ids = sorted(w for ws in p2.values() for w in ws)
+        _topo, h, placement = generated_model(6, 6, 2, 3, seed)
+        assert h.is_connected() and not h.is_quasi_tree()
+        assert h.total_weight == 6
+        ids = sorted(w for ws in placement.values() for w in ws)
         assert ids == [1, 2, 3, 4, 5, 6]
-        seen.add(h2)
+        seen.add(frozenset(e for e, ws in placement.items() if ws in ((5,), (6,))))
     # the overlay actually varies across seeds
     assert len(seen) > 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_random_instance_is_a_quasi_tree_plus_its_overlay(data):
+    V = data.draw(st.integers(3, 12), label="users")
+    r = data.draw(st.integers(2, min(4, V - 1)), label="max_edge_size")
+    k = data.draw(st.integers(0, 3), label="extra_edges")
+    tightest = -(-(V - 1) // (r - 1))
+    W = data.draw(st.integers(tightest + k, 40), label="segments")
+    seed = data.draw(st.integers(), label="seed")
+    try:
+        topo = random_instance(V, W, k, r, seed)
+    except GenerationError as exc:
+        assert "no room" in str(exc)  # every vertex set of size 2..r is taken
+        reject()
+    h, placement, leftovers = topo.to_hypergraph()
+    assert topo.num_segments == W and leftovers == {}
+    assert h.is_connected()
+    assert all(len(e.vertices) <= r for e in h.edges)
+    assert h.is_quasi_tree() == (k == 0)
+    for w in range(W - k + 1, W + 1):
+        assert placement[topo.holders_of(w)] == (w,)
+    tree = random_instance(V, W - k, 0, r, seed)
+    tree_ids = set(range(1, W - k + 1))
+    assert all(topo.holding(v) & tree_ids == tree.holding(v) for v in topo.users)

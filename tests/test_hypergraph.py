@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercast import Edge, Hypergraph, MinCutLimitError
-from hypercast.generators import GenConfig, add_cycle_edges, random_quasi_tree
+from hypercast.generators import random_instance
 from hypercast.hypergraph import MAX_EXHAUSTIVE_VERTICES
 from conftest import random_subset
 
@@ -363,11 +363,7 @@ def flow_min_cut(nx, h: Hypergraph) -> int:
 def test_min_cut_matches_flow_oracle_beyond_exhaustive_limit(users, segments, extra):
     nx = pytest.importorskip("networkx")
     for seed in (1, 2):
-        cfg = GenConfig(
-            num_users=users, num_segments=segments - extra, max_edge_size=3, seed=seed
-        )
-        _topo, h, placement = random_quasi_tree(cfg)
-        h, _placement = add_cycle_edges(h, placement, extra, seed, max_size=3)
+        h, _placement, _leftovers = random_instance(users, segments, extra, 3, seed).to_hypergraph()
         assert h.num_vertices > MAX_EXHAUSTIVE_VERTICES and not h.is_quasi_tree()
         mc = h.min_cut()
         assert mc.capacity == flow_min_cut(nx, h)

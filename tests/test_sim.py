@@ -32,7 +32,7 @@ from hypercast.sim import (
     verify_payload_run,
 )
 from hypercast.dbqt import dbqt_schedule
-from hypercast.generators import GenConfig, random_quasi_tree
+from hypercast.generators import random_instance
 
 TRIANGLE = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
 
@@ -279,7 +279,7 @@ def test_property_ranks_and_decode_order_match_dict_basis(topo, seed, slots, coe
 @settings(max_examples=25, deadline=None)
 @given(users=st.integers(4, 9), extra=st.integers(0, 12), seed=st.integers(0, 2**16))
 def test_property_dbqt_ranks_and_decode_order_match_dict_basis(users, extra, seed):
-    topo, _h, _placement = random_quasi_tree(GenConfig(users, users + extra, 3, seed))
+    topo = random_instance(users, users + extra, 0, 3, seed)
     plan = dbqt_schedule(topo)
     assert_matches_dict_basis(topo, list(plan.schedule))
     # and a prefix, which leaves some users part way through a block

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hypercast import Hypergraph, StorageTopology, from_hypergraph
+from hypercast import Hypergraph, StorageTopology
 
 
 def test_constructor_validation():
@@ -78,46 +78,6 @@ def test_to_hypergraph_rejects_uncovered_segment():
         StorageTopology(2, {1: {1}, 2: ()})
 
 
-def test_from_hypergraph_default_placement(tree_h, tree_topology):
-    assert from_hypergraph(tree_h) == tree_topology
-
-
-def test_from_hypergraph_cyclic_round_trip(cyclic_h, cyclic_topology):
-    h, placement, _ = cyclic_topology.to_hypergraph()
-    assert from_hypergraph(h, placement) == cyclic_topology
-    # default placement renumbers but models the same hypergraph
-    t2 = from_hypergraph(cyclic_h)
-    h2, _, leftovers = t2.to_hypergraph()
-    assert h2 == cyclic_h and leftovers == {}
-
-
-def test_from_hypergraph_weighted_edge():
-    h = Hypergraph([1, 2, 3], [({1, 2}, 3)])
-    t = from_hypergraph(h)
-    assert t.num_segments == 3
-    assert t.holding(1) == frozenset({1, 2, 3})
-    assert t.holding(2) == frozenset({1, 2, 3})
-    assert t.holding(3) == frozenset()
-
-
-def test_from_hypergraph_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        from_hypergraph(Hypergraph([2, 3], [({2, 3}, 1)]))  # ids must start at 1
-    with pytest.raises(ValueError):
-        from_hypergraph(Hypergraph([1, 2], [({1, 2}, 1)]))  # edge spans everyone
-    h = Hypergraph([1, 2, 3], [({1, 2}, 2), ({2, 3}, 1)])
-    with pytest.raises(ValueError):
-        from_hypergraph(h, {frozenset({1, 2}): (1, 2)})  # missing edge key
-    with pytest.raises(ValueError):
-        from_hypergraph(
-            h, {frozenset({1, 2}): (1,), frozenset({2, 3}): (2, 3)}
-        )  # wrong count for weight
-    with pytest.raises(ValueError):
-        from_hypergraph(
-            h, {frozenset({1, 2}): (1, 1), frozenset({2, 3}): (2,)}
-        )  # duplicate ids
-
-
 def test_random_round_trip_preserves_model():
     rng = random.Random(77)
     for _ in range(40):
@@ -127,8 +87,20 @@ def test_random_round_trip_preserves_model():
             size = rng.randint(2, n - 1)
             edges.append((set(rng.sample(range(1, n + 1), size)), rng.randint(1, 4)))
         h = Hypergraph(range(1, n + 1), edges)
-        t = from_hypergraph(h)
+        # each edge's weight-many segments, numbered in edge order
+        holdings = {v: set() for v in range(1, n + 1)}
+        first = 1
+        for e in h.edges:
+            for v in e.vertices:
+                holdings[v].update(range(first, first + e.weight))
+            first += e.weight
+        t = StorageTopology(h.total_weight, holdings)
         h2, placement, leftovers = t.to_hypergraph()
         assert h2 == h
         assert leftovers == {}
-        assert from_hypergraph(h2, placement) == t
+        # the placement alone rebuilds the same holdings
+        rebuilt = {v: set() for v in range(1, n + 1)}
+        for eset, ids in placement.items():
+            for v in eset:
+                rebuilt[v].update(ids)
+        assert StorageTopology(h.total_weight, rebuilt) == t
