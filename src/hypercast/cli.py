@@ -7,6 +7,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .dbqt import NotQuasiTreeError, dbqt_schedule, ordered_representatives
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hypercast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -122,9 +122,9 @@ class UserBases:
         self.pivot = np.empty(capacity, dtype=np.int64)
         self.rows = 0
         self.entries = np.empty((3, 0), dtype=np.int64)
-        # maps from a user, a coordinate or a row id to its position
-        # in the current slot's arrays; -1 between slots
-        self._at = (np.full(V, -1), np.full(W, -1), np.full(capacity, -1))
+        # maps from a user or a row id to its position in the current
+        # slot's arrays; -1 between slots
+        self._at = (np.full(V, -1), np.full(capacity, -1))
         self.payloads = self.source = None
         if columns is not None:
             # payload ids: the W columns, one zero row, then row r at W + 1 + r
@@ -169,9 +169,9 @@ class UserBases:
             return []
         g = np.arange(users.size)
         new_rows = residuals[users]
-        q = (new_rows != 0).argmax(axis=1)  # the smallest residual coordinate
+        nonzero = new_rows != 0
+        q = nonzero.argmax(axis=1)  # the smallest residual coordinate
         inv = np.array(inv_mod_many(new_rows[g, q].tolist()), dtype=np.int64)
-        new_rows = new_rows * inv[:, None] % P
         new = self.rows + g
         self.rows += users.size
         self.owner[new] = users
@@ -183,43 +183,41 @@ class UserBases:
             self.payloads[W + 1 + new] = new_payloads
             self.source[users, q] = W + 1 + new
 
-        # back-substitution: each row with an entry at its owner's new
-        # pivot takes that entry's multiple of the new row, over a dense
-        # block of those rows by the columns where some new row is nonzero
+        # back-substitution: a hit row, one with an entry at its owner's new
+        # pivot, takes that entry's multiple of the new row.  One dense block
+        # holds the hit rows, then the new rows, over every column where any
+        # of them has an entry, and is written back whole.
         row, key, value = self.entries
-        user_at, col_at, row_at = self._at
+        user_at, row_at = self._at
         user_at[users] = users << shift | q  # the key of each user's new pivot
         hit = (key == user_at[key >> shift]).nonzero()[0]
-        kept, emptied = [self.entries], hit[:0]
+        user_at[users] = -1
+        # hit rows are distinct: a row has one entry per coordinate, and a
+        # user gains at most one pivot per slot
+        hit_rows, a = row[hit], value[hit]
+        ids = np.concatenate((hit_rows, new))
+        owners = np.concatenate((key[hit] >> shift, users))
+        support = nonzero.any(axis=0)
+        kept = self.entries
         if hit.size:
-            hit_rows, a, owner_key = row[hit], value[hit], key[hit] >> shift << shift
-            user_at[users] = g  # now each user's place among the new rows
-            of_user = user_at[owner_key >> shift]
-            window = new_rows.any(axis=0).nonzero()[0]
-            col_at[window] = np.arange(window.size)
             row_at[hit_rows] = np.arange(hit.size)
-            block = (P - a)[:, None] * new_rows[:, window][of_user] % P
             i = row_at[row]
-            mine = (i >= 0).nonzero()[0]  # the entries of the hit rows
-            j = col_at[key[mine] & ((1 << shift) - 1)]
-            col_at[window] = row_at[hit_rows] = -1
-            inside = j >= 0
-            moved = mine[inside]
-            block[i[moved], j[inside]] += value[moved]
-            block %= P
-            i_new, j_new = block.nonzero()
-            alive = np.zeros(hit.size, dtype=bool)
-            alive[i_new] = True
-            alive[i[mine[~inside]]] = True
-            gone = np.zeros(self.rows, dtype=bool)
-            gone[hit_rows[~alive]] = True
-            emptied = gone.nonzero()[0]  # in ascending row id
-            keep = np.ones(row.size, dtype=bool)
-            keep[moved] = False
-            kept = [
-                self.entries.compress(keep, axis=1),
-                np.array((hit_rows[i_new], owner_key[i_new] | window[j_new], block[i_new, j_new])),
-            ]
+            row_at[hit_rows] = -1
+            theirs = i >= 0
+            mine = theirs.nonzero()[0]  # every entry of the hit rows
+            j = key[mine] & ((1 << shift) - 1)
+            support[j] = True
+            kept = self.entries.compress(~theirs, axis=1)
+        cols = support.nonzero()[0]
+        block = new_rows[:, cols] * inv[:, None] % P  # each new row 1 at its pivot
+        if hit.size:
+            of_user = np.searchsorted(users, owners[:hit.size])
+            # a product below 2**62 plus an entry below 2**31 fits int64;
+            # the hit entry itself cancels against the new row's pivot 1
+            hit_block = (P - a)[:, None] * block[of_user]
+            hit_block[i[mine], cols.searchsorted(j)] += value[mine]
+            hit_block %= P
+            block = np.concatenate((hit_block, block))
             if payloads is not None:
                 at = W + 1 + hit_rows
                 # nonnegative terms: numpy's % is quicker on them
@@ -228,15 +226,14 @@ class UserBases:
                 hit_payloads += self.payloads[at]
                 hit_payloads %= P
                 self.payloads[at] = hit_payloads
-
-        user_at[users] = -1
-        new_rows[g, q] = 0
-        i_new, j_new = new_rows.nonzero()
+        block[hit.size + g, cols.searchsorted(q)] = 0  # a row holds no entry at its pivot
+        i, j = block.nonzero()
         self.entries = np.concatenate(
-            kept + [np.array((new[i_new], users[i_new] << shift | j_new, new_rows[i_new, j_new]))],
-            axis=1,
+            (kept, np.array((ids[i], owners[i] << shift | cols[j], block[i, j]))), axis=1
         )
-        found = np.concatenate((emptied, new[~new_rows.any(axis=1)]))
+        # the emptied hit rows in ascending row id, then the one-hot new
+        # rows, whose ids are larger than any before
+        found = np.sort(ids[~block.any(axis=1)])
         out = list(zip(self.owner[found].tolist(), self.pivot[found].tolist()))
         for u, w in out:
             self.units[u].append(w)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dbqt import ordered_representatives, phase_schedule, plan_phases
-from .generators import derive_seed, random_instance
+from .generators import check_instance_args, derive_seed, random_instance
 from .hypergraph import Edge, Hypergraph
 from .sim import SegmentStore, Transcript, run_schedule
 from .topology import StorageTopology
@@ -122,8 +122,10 @@ class ExperimentConfig:
             raise ValueError("users_list and segments_list must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.extra_edges < 0:
-            raise ValueError("extra_edges must be >= 0")
+        # every grid point is refused here, before any trial runs
+        for V in self.users_list:
+            for W in self.segments_list:
+                check_instance_args(V, W, self.extra_edges, self.max_edge_size)
 
 
 @dataclass(frozen=True)

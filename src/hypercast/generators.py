@@ -22,6 +22,7 @@ __all__ = [
     "RNG_ALGORITHM",
     "GenerationError",
     "derive_seed",
+    "check_instance_args",
     "random_instance",
 ]
 
@@ -82,18 +83,12 @@ def _grow_skeleton(
     return edges
 
 
-def random_instance(
-    num_users: int, num_segments: int, extra_edges: int, max_edge_size: int, seed: int
-) -> StorageTopology:
-    """The instance of `gen` and of one experiment trial: a quasi-tree on
-    num_segments - extra_edges segments with extra_edges redundant edges
-    overlaid, one fresh segment each, so it has num_segments segments.
-
-    The tree's segment ids run in sorted edge order, each edge taking
-    weight-many consecutive ids (at least one each, the surplus spread at
-    random); the overlay edges sit on already connected users, so for
-    extra_edges >= 1 the instance is connected but not a quasi-tree.
-    """
+def check_instance_args(
+    num_users: int, num_segments: int, extra_edges: int, max_edge_size: int
+):
+    """Refuse the arguments of `random_instance` that no instance fits:
+    ValueError for a value out of range, GenerationError for a segment
+    budget too small, the first bad argument named."""
     V, W, k, r = num_users, num_segments, extra_edges, max_edge_size
     if k < 0:
         raise ValueError(f"extra edge count must be >= 0, got {k}")
@@ -111,6 +106,22 @@ def random_instance(
             f"{W - k} segments cannot weight the at least {min_edges} edges needed "
             f"to span {V} users with edges of size <= {r}"
         )
+
+
+def random_instance(
+    num_users: int, num_segments: int, extra_edges: int, max_edge_size: int, seed: int
+) -> StorageTopology:
+    """The instance of `gen` and of one experiment trial: a quasi-tree on
+    num_segments - extra_edges segments with extra_edges redundant edges
+    overlaid, one fresh segment each, so it has num_segments segments.
+
+    The tree's segment ids run in sorted edge order, each edge taking
+    weight-many consecutive ids (at least one each, the surplus spread at
+    random); the overlay edges sit on already connected users, so for
+    extra_edges >= 1 the instance is connected but not a quasi-tree.
+    """
+    check_instance_args(num_users, num_segments, extra_edges, max_edge_size)
+    V, W, k, r = num_users, num_segments, extra_edges, max_edge_size
     rng = random.Random(derive_seed(seed, "quasi-tree"))
     edges = sorted(_grow_skeleton(rng, V, r, W - k), key=lambda e: tuple(sorted(e)))
     weights = [1] * len(edges)

@@ -138,8 +138,12 @@ def run_schedule(
             raise ValueError(f"slot {i}: sender {b.sender} outside 1..{V}")
         if len(b.coefficients) != W:
             raise ValueError(f"slot {i}: {len(b.coefficients)} coefficients for {W} segments")
-        dense = tuple(int(c) % P for c in b.coefficients)
-        v = np.array(dense, dtype=np.int64)
+        try:
+            v = np.array(b.coefficients, dtype=np.int64)
+        except OverflowError:  # a coefficient beyond int64: reduce it as a Python int
+            v = np.array([int(c) % P for c in b.coefficients], dtype=np.int64)
+        v %= P
+        dense = tuple(v.tolist())
         residuals = bases.reduce(v)
         if residuals[b.sender - 1].any():
             raise ValueError(f"slot {i}: sender {b.sender} cannot form these coefficients")
@@ -238,14 +242,27 @@ def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
         )
     rng = random.Random(seed)
     for _ in range(16):
-        matrix = np.array(
-            [[rng.randrange(P) for _ in range(W)] for _ in range(L)], dtype=np.int64
-        )
+        matrix = _draw_residues(rng, L * W).reshape(L, W)
         try:
             return SegmentStore(topology, matrix)
         except ValueError:  # dependent columns; draw again
             pass
     raise RuntimeError("failed to draw independent payload columns")
+
+
+def _draw_residues(rng: random.Random, n: int) -> np.ndarray:
+    """n values of rng.randrange(P), in one getrandbits call and one more
+    per round of redraws, that leave rng in the same state.  Each randrange(P) is the top 31 bits of
+    one 32-bit word, redrawn while it equals P; getrandbits(32 * k) gives
+    k such words, least significant first."""
+    parts, left = [], n
+    while left:
+        words = rng.getrandbits(32 * left).to_bytes(4 * left, "little")
+        values = np.frombuffer(words, dtype="<u4") >> 1
+        values = values[values != P]
+        parts.append(values)
+        left -= values.size
+    return np.concatenate(parts, dtype=np.int64)
 
 
 def verify_payload_run(store: SegmentStore, schedule: Iterable[Broadcast]) -> bool:

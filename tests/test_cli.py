@@ -99,6 +99,47 @@ def test_experiment_refuses_zero_segments(capsys):
     assert err == "error: need at least 1 segment, got 0\n"
 
 
+def test_experiment_refuses_a_bad_grid_point_before_any_trial(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "experiment", "--users-list", "60", "--segments-list", "400,0",
+        "--trials", "20", "--extra-edges", "2", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need at least 1 segment, got 0\n"
+    # the W = 400 trials before it take seconds; the refusal takes milliseconds
+    assert time.perf_counter() - start < 1.0
+
+
+def test_experiment_and_gen_refuse_negative_extra_edges_alike(capsys):
+    experiment = run_cli(
+        capsys, "experiment", "--users-list", "6", "--segments-list", "12",
+        "--trials", "2", "--extra-edges", "-1", "--seed", "1",
+    )
+    gen = run_cli(
+        capsys, "gen", "--users", "6", "--segments", "12", "--seed", "1", "--extra-edges", "-1"
+    )
+    assert experiment == gen == (2, "", "error: extra edge count must be >= 0, got -1\n")
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(capsys):
+    calls = [
+        ("gen", "--users", "6", "--segments", "9", "--seed", "3"),
+        ("gen", "--users", "6"),  # a usage error: exit 1, usage on stderr
+        ("run", "--in", str(FIXTURES / "tree-instance.json")),
+    ]
+    hypercast.cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert hypercast.cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        hypercast.cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0]
+    assert shared[1][2].startswith("usage: hypercast gen")
+
+
 def test_gen_and_analyze_at_200_users(capsys, tmp_path):
     path = tmp_path / "big.json"
     gen = ("gen", "--users", "200", "--segments", "800", "--seed", "1", "--out", str(path))

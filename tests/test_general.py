@@ -215,8 +215,13 @@ def test_experiment_config_validation():
         ExperimentConfig((), (8,), trials=1, extra_edges=0, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig((6,), (8,), trials=0, extra_edges=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="extra edge count must be >= 0, got -1"):
         ExperimentConfig((6,), (8,), trials=1, extra_edges=-1, seed=0)
+    # every grid point is checked as random_instance would check it
+    with pytest.raises(ValueError, match="need at least 1 segment, got 0"):
+        ExperimentConfig((6,), (8, 0), trials=1, extra_edges=0, seed=0)
+    with pytest.raises(ValueError, match="need at least 3 users, got 2"):
+        ExperimentConfig((6, 2), (8,), trials=1, extra_edges=0, seed=0)
 
 
 def test_experiment_instances_are_deterministic():

@@ -23,6 +23,7 @@ from hypercast import StorageTopology
 from hypercast.field import P, UserBases, rank_mod
 from hypercast.sim import (
     MAX_SIM_SEGMENTS,
+    _draw_residues,
     Broadcast,
     PayloadMismatch,
     materialize_payloads,
@@ -286,6 +287,93 @@ def test_property_dbqt_ranks_and_decode_order_match_dict_basis(users, extra, see
     assert_matches_dict_basis(topo, list(plan.schedule)[: len(plan.schedule) // 2])
 
 
+def unit_broadcast(sender, W, entries):
+    """The broadcast of `sender` with the given {segment: coefficient}."""
+    return Broadcast(sender, tuple(entries.get(w, 0) for w in range(1, W + 1)))
+
+
+def basis_rows(bases):
+    """Every basis row of a UserBases as {(user, pivot): {coordinate: value}}."""
+    rows = {(u, w): {} for u, w in zip(bases.owner[:bases.rows].tolist(),
+                                       bases.pivot[:bases.rows].tolist())}
+    row, key, value = bases.entries.tolist()
+    for r, k, x in zip(row, key, value):
+        u, w = int(bases.owner[r]), int(bases.pivot[r])
+        rows[u, w][k & ((1 << bases.shift) - 1)] = x
+    return rows
+
+
+def check_hand_built_run(topology, schedule):
+    """The run of `schedule` matches one dict basis per user in ranks,
+    decode order and every basis row, and its payload run, with the
+    uncoded completion appended, decodes the store bit for bit.  Returns
+    the basis rows."""
+    assert_matches_dict_basis(topology, schedule)
+    stored = np.zeros((topology.num_users, topology.num_segments), dtype=bool)
+    oracles = {v: ColumnBasis() for v in topology.users}
+    for v in topology.users:
+        stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
+    bases = UserBases(stored)
+    for b in schedule:
+        bases.insert(bases.reduce(np.array(b.coefficients, dtype=np.int64)))
+        for v in topology.users:
+            if v != b.sender:
+                oracles[v].insert({w - 1: c for w, c in enumerate(b.coefficients, start=1)
+                                   if c and w not in topology.holding(v)})
+    rows = basis_rows(bases)
+    assert rows == {
+        (v - 1, p): row for v in topology.users for p, row in oracles[v].rows.items()
+    }
+    t = run_schedule(topology, schedule)
+    store = materialize_payloads(topology, seed=9)
+    paid = run_schedule(topology, schedule, store, completion=True)
+    assert paid.complete and paid.slots[:len(schedule)] == t.slots
+    assert verify_payload_run(store, paid.schedule)
+    return rows
+
+
+def test_hit_row_with_entries_outside_the_new_rows_columns():
+    """User 2's first row holds segments 2 and 3; its second row has pivot
+    2 and support {2, 4}, so the first row keeps its entry at 3, outside
+    every new row's columns, beside the new one at 4."""
+    topo = StorageTopology(4, {1: {1, 2, 3, 4}, 2: set(), 3: {3}})
+    schedule = [
+        unit_broadcast(1, 4, {1: 1, 2: 2, 3: 3}),
+        unit_broadcast(1, 4, {2: 1, 4: 5}),
+    ]
+    # user 2's row with pivot 1 (coordinates count from 0)
+    assert check_hand_built_run(topo, schedule)[1, 0] == {2: 3, 3: P - 10}
+
+
+def test_rows_emptied_in_the_slot_where_the_new_row_is_one_hot():
+    """Slot 3 gives user 2 the one-hot row e4 and empties its rows with
+    pivots 1 and 2, met in the order 2, 1 among the entries (the row with
+    pivot 1 was rewritten in slot 2): user 2 decodes 3, then 1, 2, 4."""
+    topo = StorageTopology(4, {1: {1, 2, 3, 4}, 2: set(), 3: {3, 4}})
+    schedule = [
+        unit_broadcast(1, 4, {1: 1, 3: 1, 4: 1}),
+        unit_broadcast(1, 4, {2: 1, 4: 1}),
+        unit_broadcast(1, 4, {3: 1}),
+        unit_broadcast(1, 4, {4: 7}),
+    ]
+    check_hand_built_run(topo, schedule)
+    assert dict_basis_run(topo, schedule)[1][1] == [3, 1, 2, 4]
+
+
+def test_coefficients_beyond_int64_and_negative_act_as_their_residues(tree_topology):
+    schedule = list(dbqt_schedule(tree_topology).schedule)
+    big = [Broadcast(b.sender, tuple(c + P * 2**40 for c in b.coefficients)) for b in schedule]
+    negative = [Broadcast(b.sender, tuple(c - 3 * P for c in b.coefficients)) for b in schedule]
+    assert max(max(b.coefficients) for b in big) >= 2**63
+    expected = run_schedule(tree_topology, schedule)
+    for variant in (big, negative):
+        assert run_schedule(tree_topology, variant) == expected
+    # both in one vector: its zeros as multiples of P beyond int64, the rest negative
+    mixed = [Broadcast(b.sender, tuple(c - P if c else P * 2**40 for c in b.coefficients))
+             for b in schedule]
+    assert run_schedule(tree_topology, mixed) == expected
+
+
 def test_completion_broadcasts_what_is_missing(tree_topology):
     coded = list(dbqt_schedule(tree_topology).schedule)
     t = run_schedule(tree_topology, coded[:1], completion=True)
@@ -306,6 +394,46 @@ def test_materialize_payloads_deterministic(tree_topology):
     assert not np.array_equal(a.matrix, c.matrix)
     assert a.length == tree_topology.num_segments + 1
     assert rank_mod(a.matrix) == tree_topology.num_segments
+
+
+class ScriptedWords(random.Random):
+    """A generator whose 32-bit words come from a list, first to last."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        n = -(-k // 32)
+        out = 0
+        for i, word in enumerate(self.words[:n]):
+            if i == n - 1 and k % 32:
+                word >>= 32 - k % 32
+            out |= word << 32 * i
+        del self.words[:n]
+        return out
+
+
+def test_payload_draw_equals_the_randrange_loop():
+    for seed in (0, 1, 4, 2**40 + 3):
+        for n in (1, 2, 65 * 64, 3 * 5):
+            ours, loop = random.Random(seed), random.Random(seed)
+            drawn = _draw_residues(ours, n)
+            assert drawn.dtype == np.int64
+            assert drawn.tolist() == [loop.randrange(P) for _ in range(n)]
+            assert ours.getstate() == loop.getstate()
+    # 0xFFFFFFFE and 0xFFFFFFFF both have P as their top 31 bits, so each is redrawn
+    words = [0xFFFFFFFE, 5, 0xFFFFFFFF, 0xFFFFFFFF, 7, 0xFFFFFFFE, 9, 11, 13]
+    ours, loop = ScriptedWords(words), ScriptedWords(words)
+    assert _draw_residues(ours, 4).tolist() == [loop.randrange(P) for _ in range(4)] == [2, 3, 4, 5]
+    assert ours.words == loop.words == [13]
+
+
+def test_materialize_payloads_matches_the_randrange_loop(tree_topology):
+    rng = random.Random(5)
+    W = tree_topology.num_segments
+    expected = [[rng.randrange(P) for _ in range(W)] for _ in range(W + 1)]
+    assert materialize_payloads(tree_topology, seed=5).matrix.tolist() == expected
 
 
 def test_materialize_payloads_honors_declared_length():
