@@ -52,7 +52,6 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     MinCut,
-    MinCutLimitError,
 )
 from .sim import (
     Broadcast,
@@ -81,7 +80,6 @@ __all__ = [
     "GenerationError",
     "Hypergraph",
     "MinCut",
-    "MinCutLimitError",
     "NotQuasiTreeError",
     "PhasePlan",
     "PlanError",

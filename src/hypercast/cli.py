@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
         cut = h.min_cut().capacity
         bound = h.total_weight - cut
         if quasi_tree:
-            agreement = h.min_cut(method="edge-scan").capacity == cut
+            agreement = min(e.weight for e in h.edges) == cut
     if quasi_tree:
         reps = list(ordered_representatives(h))
     doc = {

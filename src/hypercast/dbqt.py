@@ -3,8 +3,9 @@
 The planner orders representative vertices so that each prefix induces a
 connected region and each new representative contributes at least one
 uncovered edge, then emits one phase per representative.  A phase mixes
-the representative's fresh segments with a small seed taken from a
-bridge edge back into the covered region, and sends the columns of
+the representative's fresh segments with a seed of delta segments from
+its bridge, the lowest tree edge joining it to an earlier
+representative, and sends the columns of
 `vandermonde(len(block), count)`, which `decodable_with` proves
 decodable.  With delta the minimum edge weight, the schedule, a list of
 Broadcast(sender, coefficients), is exactly W - delta broadcasts and
@@ -18,7 +19,7 @@ from typing import Sequence
 from .field import P, nonsingular_mod
 from .hypergraph import Hypergraph
 from .sim import Broadcast
-from .topology import PlacementMap, StorageTopology
+from .topology import StorageTopology
 
 __all__ = [
     "PlanError",
@@ -54,9 +55,12 @@ class PhasePlan:
 @dataclass(frozen=True)
 class QuasiTreePlan:
     delta: int
-    representatives: tuple[int, ...]
     phases: tuple[PhasePlan, ...]
     schedule: tuple[Broadcast, ...]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(ph.representative for ph in self.phases)
 
     @property
     def num_broadcasts(self) -> int:
@@ -95,8 +99,6 @@ def ordered_representatives(h: Hypergraph) -> tuple[int, ...]:
             and any(v in eset for eset in covered)
             and not incident[v] <= covered
         ]
-        if not eligible:
-            raise PlanError("no eligible representative; hypergraph is not connected")
         nxt = pick(eligible)
         order.append(nxt)
         covered |= incident[nxt]
@@ -132,55 +134,33 @@ def decodable_with(block_size: int, delta: int, held_positions) -> bool:
     return nonsingular_mod(matrix)
 
 
-def plan_phases(
-    topology: StorageTopology,
-    tree: Hypergraph,
-    placement: PlacementMap,
-    reps: Sequence[int],
-) -> tuple[PhasePlan, ...]:
-    """One phase per representative over the given quasi-tree, with delta
-    the tree's minimum edge weight.
+def plan_phases(topology: StorageTopology, tree: Hypergraph) -> tuple[PhasePlan, ...]:
+    """One phase per representative of `ordered_representatives(tree)`,
+    with delta the tree's minimum edge weight.
 
-    Blocks draw on the users' full holdings, so the tree may be a
-    reduced subgraph of the topology's model; `placement` must cover the
-    tree's edges.  Bridge ties break toward the lowest vertex ids.
+    A later representative's bridge is its lowest-key tree edge that
+    holds an earlier representative, and its seed is the delta lowest
+    segments whose holders are exactly that edge.  A block is the seed
+    plus the segments of the representative's holding that no earlier
+    representative holds (the whole holding in the first phase).  Blocks
+    draw on the users' full holdings, so the tree may be a spanning
+    quasi-tree of the topology's model.
     """
     if not tree.edges:
         raise PlanError("cannot plan phases without edges")
     delta = min(e.weight for e in tree.edges)
     phases: list[PhasePlan] = []
+    prior: set[int] = set()
     prev_union: set[int] = set()
-    for i, v in enumerate(reps, start=1):
-        holding = set(topology.holding(v))
-        if i == 1:
-            bridge = None
-            seed: tuple[int, ...] = ()
-            block = tuple(sorted(holding))
-        else:
-            prior = set(reps[: i - 1])
-            eligible = [
-                e for e in tree.edges
-                if v in e.vertices and e.vertices & prior
-            ]
-            if not eligible:
-                raise PlanError(f"representative {v} has no bridge edge into the covered region")
-            bridge_edge = min(eligible, key=lambda e: e.key)
-            bridge = bridge_edge.vertices
-            segs = placement[bridge]
-            if len(segs) < delta:
-                raise PlanError(
-                    f"bridge edge {sorted(bridge)} carries {len(segs)} segments, "
-                    f"fewer than delta={delta}"
-                )
-            seed = tuple(sorted(segs)[:delta])
-            assert set(seed) <= prev_union, "seed segments must already be covered"
-            block = tuple(sorted(set(seed) | (holding - prev_union)))
-        count = len(block) - delta
-        if count < 0:
-            raise PlanError(
-                f"phase {i} block of {len(block)} segments cannot support delta={delta}"
-            )
-        phases.append(PhasePlan(v, bridge, seed, block, count))
+    for v in ordered_representatives(tree):
+        holding = topology.holding(v)
+        bridge, seed = None, ()
+        if prior:
+            bridge = next(e.vertices for e in tree.incident(v) if e.vertices & prior)
+            seed = tuple(sorted(w for w in holding if topology.holders_of(w) == bridge)[:delta])
+        block = tuple(sorted((holding - prev_union).union(seed)))
+        phases.append(PhasePlan(v, bridge, seed, block, len(block) - delta))
+        prior.add(v)
         prev_union |= holding
     total = sum(p.broadcast_count for p in phases)
     assert total == len(prev_union) - delta, "phase sizes must telescope"
@@ -197,12 +177,7 @@ def phase_schedule(topology: StorageTopology, phases: Sequence[PhasePlan]) -> li
     """
     out: list[Broadcast] = []
     W = topology.num_segments
-    for i, ph in enumerate(phases, start=1):
-        if not set(ph.block) <= topology.holding(ph.representative):
-            raise PlanError(
-                f"phase {i}: block contains segments user "
-                f"{ph.representative} does not store"
-            )
+    for ph in phases:
         rows = vandermonde(len(ph.block), ph.broadcast_count) if ph.broadcast_count else ()
         for tau in range(ph.broadcast_count):
             coefficients = [0] * W
@@ -219,7 +194,7 @@ def dbqt_schedule(topology: StorageTopology) -> QuasiTreePlan:
     model to be a connected quasi-tree; the result is exactly
     W - delta broadcasts.
     """
-    h, placement, leftovers = topology.to_hypergraph()
+    h, _placement, leftovers = topology.to_hypergraph()
     if leftovers:
         raise PlanError(
             f"{len(leftovers)} segments are held by one user or by everyone "
@@ -229,9 +204,8 @@ def dbqt_schedule(topology: StorageTopology) -> QuasiTreePlan:
         raise PlanError("storage model is disconnected; no coded schedule exists")
     if not h.is_quasi_tree():
         raise NotQuasiTreeError("storage model is not a quasi-tree")
-    reps = ordered_representatives(h)
-    phases = plan_phases(topology, h, placement, reps)
+    phases = plan_phases(topology, h)
     schedule = phase_schedule(topology, phases)
     # plan_phases takes delta and checks that the phases telescope to
     # W - delta: every segment lies on an edge some representative holds
-    return QuasiTreePlan(topology.num_segments - len(schedule), reps, phases, tuple(schedule))
+    return QuasiTreePlan(topology.num_segments - len(schedule), phases, tuple(schedule))

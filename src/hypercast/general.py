@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterator
 
-from .dbqt import ordered_representatives, phase_schedule, plan_phases
+from .dbqt import phase_schedule, plan_phases
 from .generators import check_instance_args, derive_seed, random_instance
 from .hypergraph import Edge, Hypergraph
 from .sim import SegmentStore, Transcript, run_schedule
@@ -92,13 +92,11 @@ def dbqt_general(
     its transcript (with the schedule) is returned.  The run must
     complete; the result satisfies lower_bound <= total <= W.
     """
-    h, placement, _leftovers = topology.to_hypergraph()
+    h, _placement, _leftovers = topology.to_hypergraph()
     cut = h.min_cut().capacity if topology.num_users >= 2 else 0
     coded = []
     if cut:
-        tree = spanning_quasi_tree(h).kept
-        phases = plan_phases(topology, tree, placement, ordered_representatives(tree))
-        coded = phase_schedule(topology, phases)
+        coded = phase_schedule(topology, plan_phases(topology, spanning_quasi_tree(h).kept))
     transcript = run_schedule(topology, coded, store, completion=True)
     if not transcript.complete:
         raise RuntimeError("schedule failed to complete; planner invariant broken")

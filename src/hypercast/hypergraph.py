@@ -10,23 +10,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
-MAX_EXHAUSTIVE_VERTICES = 24
-
-__all__ = [
-    "Edge",
-    "Cut",
-    "MinCut",
-    "Hypergraph",
-    "MinCutLimitError",
-    "MAX_EXHAUSTIVE_VERTICES",
-]
-
-
-class MinCutLimitError(ValueError):
-    """Exhaustive min-cut was requested beyond its vertex-count limit."""
+__all__ = ["Edge", "Cut", "MinCut", "Hypergraph"]
 
 
 def _edge_key(vset: frozenset[int]) -> tuple[int, ...]:
@@ -234,54 +220,16 @@ class Hypergraph:
         outside = tuple(e for e in self._edges if e.vertices <= self._vertices - xs)
         return cut.crossing_edges, inside, outside
 
-    def min_cut(self, method: str = "auto") -> MinCut:
-        """Minimum-capacity cut.
-
-        method "auto" orders vertices by maximum adjacency, which works on
-        any hypergraph in polynomial time.  "edge-scan" (quasi-trees only)
-        and "exhaustive" (every split, limited to MAX_EXHAUSTIVE_VERTICES
-        vertices) force one of the two simpler routes, which serve as
-        oracles for the first.
-        """
+    def min_cut(self) -> MinCut:
+        """Minimum-capacity cut: 0 on a disconnected hypergraph (its first
+        component is the witness), otherwise by maximum-adjacency
+        ordering, polynomial on any hypergraph."""
         if len(self._vertices) < 2:
             raise ValueError("min-cut needs at least 2 vertices")
-        if method not in ("auto", "exhaustive", "edge-scan"):
-            raise ValueError(f"unknown min-cut method {method!r}")
         comps = self.components()
         if len(comps) > 1:
-            if method == "edge-scan":
-                raise ValueError("edge-scan requires a connected quasi-tree")
             return MinCut(0, comps[0])
-        if method == "auto":
-            return self._min_cut_by_ordering()
-        if method == "edge-scan":
-            if not self.is_quasi_tree():
-                raise ValueError("edge-scan requires a connected quasi-tree")
-            e = min(self._edges, key=lambda e: (e.weight, e.key))
-            witness = next(
-                c for c in self.without_edge(e.vertices).components()
-                if min(e.vertices) in c
-            )
-            return MinCut(e.weight, witness)
-        if len(self._vertices) > MAX_EXHAUSTIVE_VERTICES:
-            raise MinCutLimitError(
-                f"exhaustive min-cut is limited to {MAX_EXHAUSTIVE_VERTICES} vertices "
-                f"(got {len(self._vertices)}); the default route has no such limit"
-            )
-        vs = sorted(self._vertices)
-        anchor, rest = vs[0], vs[1:]
-        best: MinCut | None = None
-        for r in range(len(rest)):
-            for comb in combinations(rest, r):
-                xs = frozenset((anchor, *comb))
-                w = sum(
-                    e.weight for e in self._edges
-                    if e.vertices & xs and e.vertices - xs
-                )
-                if best is None or w < best.capacity:
-                    best = MinCut(w, xs)
-        assert best is not None
-        return best
+        return self._min_cut_by_ordering()
 
     def _min_cut_by_ordering(self) -> MinCut:
         """Min cut of a connected hypergraph by maximum-adjacency ordering.

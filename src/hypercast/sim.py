@@ -255,7 +255,7 @@ def _draw_residues(rng: random.Random, n: int) -> np.ndarray:
     per round of redraws, that leave rng in the same state.  Each randrange(P) is the top 31 bits of
     one 32-bit word, redrawn while it equals P; getrandbits(32 * k) gives
     k such words, least significant first."""
-    parts, left = [], n
+    parts, left = [np.empty(0, np.int64)], n  # n = 0 draws nothing
     while left:
         words = rng.getrandbits(32 * left).to_bytes(4 * left, "little")
         values = np.frombuffer(words, dtype="<u4") >> 1

@@ -12,9 +12,7 @@ from typing import Iterable, Mapping
 
 from .hypergraph import Hypergraph
 
-PlacementMap = dict  # frozenset[int] -> tuple[int, ...]
-
-__all__ = ["StorageTopology", "PlacementMap"]
+__all__ = ["StorageTopology"]
 
 
 class StorageTopology:
@@ -109,7 +107,7 @@ class StorageTopology:
                 leftovers[w] = hs
             else:
                 groups.setdefault(hs, []).append(w)
-        placement: PlacementMap = {
+        placement = {
             hs: tuple(sorted(ws)) for hs, ws in groups.items()
         }
         h = Hypergraph(self.users, [(hs, len(ws)) for hs, ws in placement.items()])

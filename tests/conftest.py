@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
@@ -83,6 +84,20 @@ def generated_model(users: int, segments: int, extra: int, max_size: int, seed: 
     topo = random_instance(users, segments, extra, max_size, seed)
     h, placement, _leftovers = topo.to_hypergraph()
     return topo, h, placement
+
+
+def brute_min_cut_weight(h: Hypergraph) -> int:
+    """Minimum crossing weight over every split, by enumeration: each
+    vertex set that holds the smallest vertex and not all of them."""
+    anchor, *rest = sorted(h.vertices)
+    best = None
+    for r in range(len(rest)):
+        for comb in combinations(rest, r):
+            xs = {anchor, *comb}
+            w = sum(e.weight for e in h.edges if e.vertices & xs and e.vertices - xs)
+            if best is None or w < best:
+                best = w
+    return best
 
 
 def random_subset(rng: random.Random, items, lo: int, hi: int) -> set[int]:

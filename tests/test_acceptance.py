@@ -23,7 +23,13 @@ from hypercast.general import (
 )
 from hypercast.generators import random_instance
 from hypercast.sim import materialize_payloads, run_schedule, verify_payload_run
-from conftest import CYCLIC_HOLDINGS, TREE_HOLDINGS, generated_model, random_subset
+from conftest import (
+    CYCLIC_HOLDINGS,
+    TREE_HOLDINGS,
+    brute_min_cut_weight,
+    generated_model,
+    random_subset,
+)
 import random
 
 
@@ -70,7 +76,7 @@ def test_criterion_1_fixture_exactness():
         "degree(v1)": h.degree(1) == (2, 2),
         "induced weights": sorted(e.weight for e in h.induced({2, 3, 6}).edges) == [1, 2],
         "cut {4,5,6}": h.cut({4, 5, 6}).weight == 2,
-        "min-cut": h.min_cut(method="exhaustive").capacity == 1,
+        "min-cut": brute_min_cut_weight(h) == 1,
         "cyclic not quasi-tree": not h.is_quasi_tree(),
         "reduced is quasi-tree": hp.is_quasi_tree(),
         "representatives": ordered_representatives(hp) == (3, 5, 4),
@@ -108,13 +114,13 @@ def test_criterion_3_min_cut_routes_agree_and_bound_is_tight(quasi_tree_corpus):
     mismatches = 0
     loose = 0
     for topo, h, _placement in quasi_tree_corpus:
-        brute = h.min_cut(method="exhaustive")
-        scan = h.min_cut(method="edge-scan")
-        if brute.capacity != scan.capacity:
+        brute = brute_min_cut_weight(h)
+        scan = min(e.weight for e in h.edges)
+        if brute != scan:
             mismatches += 1
             continue
         plan = dbqt_schedule(topo)
-        if plan.num_broadcasts != topo.num_segments - brute.capacity:
+        if plan.num_broadcasts != topo.num_segments - brute:
             loose += 1
     ok = mismatches == 0 and loose == 0
     report(
@@ -197,14 +203,14 @@ def test_criterion_7_min_cut_bound_dominates_degree_bound(quasi_tree_corpus):
     total = 0
     for _topo, h, _placement in quasi_tree_corpus:
         total += 1
-        delta = h.min_cut(method="edge-scan").capacity
+        delta = min(e.weight for e in h.edges)
         if h.total_weight - delta < min_degree_bound(h):
             bad += 1
     for config in EXPERIMENT_CONFIGS:
         for _v, _w, _t, topo in iter_experiment_instances(config):
             total += 1
             h, _placement, _leftovers = topo.to_hypergraph()
-            delta = h.min_cut(method="exhaustive").capacity
+            delta = brute_min_cut_weight(h)
             if h.total_weight - delta < min_degree_bound(h):
                 bad += 1
     report(

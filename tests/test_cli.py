@@ -191,6 +191,54 @@ def test_generator_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "users, segments, seed, extra, analyze_digest, general_digest",
+    [
+        (8, 18, 7, 0,
+         "441344ca0565c559443a76dfb506d76b20a3395c93a5ec78f4694feb8c2faaa5",
+         "99db0be8e726a7c3db45104a886ac729b8e45906a9a805a699c7617e8ebec7b4"),
+        (8, 18, 7, 2,
+         "381ae24f25f245fda3f871c688733fe6bb1d12b910bcce04aa6ed9bbce088ead",
+         "76f0f755160a690d871ee05f3bdd62a9b48244a21fccceea5a00c9f7c05e8057"),
+        (30, 120, 1, 3,
+         "9e0549565e3190f1d3cdf4929d67bc8b812e946f58f984cec613ddceb14175e1",
+         "74304bdc3f317b6bbd3cfea603f2267ed6f3132df7ed6ca6aee3389b1a7bd98f"),
+    ],
+)
+def test_analyze_and_general_run_bytes_are_pinned(
+    capsys, tmp_path, users, segments, seed, extra, analyze_digest, general_digest
+):
+    path = tmp_path / "inst.json"
+    code, _, _ = run_cli(
+        capsys, "gen", "--users", str(users), "--segments", str(segments),
+        "--seed", str(seed), "--extra-edges", str(extra), "--out", str(path),
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert code == 0 and sha256(out) == analyze_digest
+    code, out, _ = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt-general")
+    assert code == 0 and sha256(out) == general_digest
+
+
+def test_dbqt_run_plan_and_transcript_bytes_are_pinned(capsys, tmp_path):
+    path, plan, transcript = (tmp_path / n for n in ("inst.json", "plan.json", "tr.json"))
+    run_cli(capsys, "gen", "--users", "8", "--segments", "18", "--seed", "7", "--out", str(path))
+    code, out, _ = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt",
+        "--plan", str(plan), "--transcript", str(transcript),
+    )
+    assert code == 0
+    assert [sha256(out), sha256(plan.read_text()), sha256(transcript.read_text())] == [
+        "c566db5db3a11eebc870d249602bc966c081b3aa48c7b560f49e80319823d3e3",
+        "790156ac9ad2a6b968617621824065fcc2dfb0211ca056141f1a146def78cccb",
+        "a09a393de5f1400f8efc6c1a17b1cdd03aa4d8411002eb6093d282804701d3e6",
+    ]
+
+
 def test_analyze_tree_fixture(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--in", str(FIXTURES / "tree-instance.json"))
     assert code == 0
@@ -366,6 +414,25 @@ def test_payload_check_refuses_long_payloads_before_drawing(
     assert code == 2 and out == ""
     limit = (hypercast.sim.MAX_SIM_SEGMENTS + 1) * hypercast.sim.MAX_SIM_SEGMENTS
     assert "payload_length 3000000" in err and str(limit) in err
+
+
+@pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
+@pytest.mark.parametrize("num_users", [1, 2])
+def test_payload_check_on_zero_segments(capsys, tmp_path, strategy, num_users):
+    path = write_doc(tmp_path, num_users, 0, {v: () for v in range(1, num_users + 1)})
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", strategy, "--payload-check"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["payload_check"] is True and doc["num_broadcasts"] == 0
+
+
+def test_run_dbqt_on_zero_segments_exits_2(capsys, tmp_path):
+    path = write_doc(tmp_path, 1, 0, {1: ()})
+    code, out, err = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt")
+    assert code == 2 and out == ""
+    assert "cannot plan phases without edges" in err
 
 
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):

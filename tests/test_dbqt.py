@@ -17,6 +17,7 @@ from hypercast.dbqt import (
     vandermonde,
 )
 from hypercast.field import P
+from hypercast.general import spanning_quasi_tree
 from hypercast.sim import run_schedule
 from conftest import generated_model
 
@@ -132,9 +133,7 @@ def test_decodable_with_validates_pattern():
 
 
 def test_plan_phases_tree_example(tree_topology, tree_h):
-    _, placement, _ = tree_topology.to_hypergraph()
-    reps = ordered_representatives(tree_h)
-    phases = plan_phases(tree_topology, tree_h, placement, reps)
+    phases = plan_phases(tree_topology, tree_h)
     assert [p.representative for p in phases] == [3, 5, 4]
     assert phases[0].bridge is None and phases[0].seed_segments == ()
     assert phases[0].block == (2, 3)
@@ -151,9 +150,7 @@ def test_plan_phases_tree_example(tree_topology, tree_h):
 
 
 def test_phase_schedule_combination_layout(tree_topology, tree_h):
-    _, placement, _ = tree_topology.to_hypergraph()
-    reps = ordered_representatives(tree_h)
-    phases = plan_phases(tree_topology, tree_h, placement, reps)
+    phases = plan_phases(tree_topology, tree_h)
     schedule = phase_schedule(tree_topology, phases)
     assert [b.sender for b in schedule] == [3, 5, 4]
     assert schedule[0].coefficients == (0, 1, 1, 0)
@@ -161,13 +158,45 @@ def test_phase_schedule_combination_layout(tree_topology, tree_h):
     assert schedule[2].coefficients == (1, 0, 0, 1)
 
 
+def planner_trees():
+    """(topology, tree, is the whole model) triples: generated quasi-trees,
+    and the spanning quasi-trees that dbqt_general keeps from instances
+    with extra edges."""
+    for seed in range(10):
+        users, segments, size = 4 + seed % 7, 20 + 7 * seed, 2 + seed % 3
+        topo, h, _placement = generated_model(users, segments, 0, size, seed)
+        yield topo, h, True
+        extra = 1 + seed % 3
+        topo, h, _placement = generated_model(users, segments, extra, size, seed)
+        yield topo, spanning_quasi_tree(h).kept, False
+
+
+def test_property_bridges_seeds_and_blocks():
+    for topo, tree, whole in planner_trees():
+        delta = min(e.weight for e in tree.edges)
+        phases = plan_phases(topo, tree)
+        assert phases[0].bridge is None and phases[0].seed_segments == ()
+        earlier = {phases[0].representative}
+        for ph in phases[1:]:
+            assert ph.bridge in tree.edge_sets
+            assert ph.representative in ph.bridge and ph.bridge & earlier
+            assert len(ph.seed_segments) == delta
+            assert all(topo.holders_of(w) == ph.bridge for w in ph.seed_segments)
+            earlier.add(ph.representative)
+        for ph in phases:
+            assert set(ph.block) <= topo.holding(ph.representative)
+            assert ph.broadcast_count >= 0
+        if whole:
+            assert sum(ph.broadcast_count for ph in phases) == topo.num_segments - delta
+
+
 def test_phase_schedule_sends_vandermonde_columns_on_each_block():
     """Phase slot tau puts entry (k, tau) of the phase's power matrix on
     block position k and 0 off the block."""
     later_slots = 0
     for seed in range(12):
-        topo, h, placement = generated_model(9, 40, 0, 4, seed)
-        phases = plan_phases(topo, h, placement, ordered_representatives(h))
+        topo, h, _placement = generated_model(9, 40, 0, 4, seed)
+        phases = plan_phases(topo, h)
         schedule = iter(phase_schedule(topo, phases))
         for ph in phases:
             columns = vandermonde(len(ph.block), ph.broadcast_count)

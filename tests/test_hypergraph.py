@@ -1,22 +1,21 @@
 """Structural hypergraph tests.
 
 Connectivity and min-cut results are cross-checked against independent
-oracles written inline: breadth-first reachability over an incidence
-expansion, full bipartition enumeration, and (beyond the exhaustive
-limit, when networkx is installed) maximum flow on Lawler's network.
+oracles: breadth-first reachability over an incidence expansion, full
+bipartition enumeration (`brute_min_cut_weight` in conftest), and
+(beyond what enumeration reaches, when networkx is installed) maximum
+flow on Lawler's network.
 """
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercast import Edge, Hypergraph, MinCutLimitError
+from hypercast import Edge, Hypergraph
 from hypercast.generators import random_instance
-from hypercast.hypergraph import MAX_EXHAUSTIVE_VERTICES
-from conftest import random_subset
+from conftest import brute_min_cut_weight, random_subset
 
 
 # -- oracles ------------------------------------------------------------
@@ -45,23 +44,6 @@ def bfs_components(h: Hypergraph) -> list[frozenset[int]]:
         seen |= comp
         out.append(frozenset(comp))
     return out
-
-
-def brute_min_cut_weight(h: Hypergraph) -> int:
-    """Minimum crossing weight over all nonempty proper vertex subsets."""
-    vs = sorted(h.vertices)
-    best = None
-    for r in range(1, len(vs)):
-        for comb in combinations(vs, r):
-            xs = set(comb)
-            w = sum(
-                e.weight
-                for e in h.edges
-                if (e.vertices & xs) and (e.vertices - xs)
-            )
-            if best is None or w < best:
-                best = w
-    return best
 
 
 def random_hypergraph(rng: random.Random, num_vertices: int, num_edges: int) -> Hypergraph:
@@ -252,10 +234,9 @@ def test_partition_by_cut_is_a_partition():
 
 
 def test_min_cut_frozen_values(cyclic_h, tree_h):
-    assert cyclic_h.min_cut().capacity == 1
-    assert cyclic_h.min_cut(method="exhaustive").capacity == 1
-    assert tree_h.min_cut(method="edge-scan").capacity == 1
-    assert tree_h.min_cut(method="exhaustive").capacity == 1
+    assert cyclic_h.min_cut().capacity == 1 == brute_min_cut_weight(cyclic_h)
+    assert tree_h.min_cut().capacity == 1 == brute_min_cut_weight(tree_h)
+    assert min(e.weight for e in tree_h.edges) == 1
 
 
 def test_min_cut_witness_achieves_capacity(cyclic_h, tree_h):
@@ -265,7 +246,7 @@ def test_min_cut_witness_achieves_capacity(cyclic_h, tree_h):
         h = random_hypergraph(rng, rng.randint(2, 8), rng.randint(1, 8))
         graphs.append(h)
     for h in graphs:
-        mc = h.min_cut(method="exhaustive")
+        mc = h.min_cut()
         if len(h.components()) > 1:
             assert mc.capacity == 0
             continue
@@ -280,10 +261,8 @@ def test_min_cut_edge_scan_agrees_on_quasi_trees(tree_h):
         Hypergraph([1, 2], [({1, 2}, 7)]),
     ):
         assert h.is_quasi_tree()
-        scan = h.min_cut(method="edge-scan")
-        brute = h.min_cut(method="exhaustive")
-        assert scan.capacity == brute.capacity
-        assert h.cut(scan.witness).weight == scan.capacity
+        scan = min(e.weight for e in h.edges)
+        assert h.min_cut().capacity == scan == brute_min_cut_weight(h)
 
 
 def test_min_cut_weighted_scan_picks_lightest_edge():
@@ -296,17 +275,10 @@ def test_min_cut_weighted_scan_picks_lightest_edge():
 def test_min_cut_errors_and_limits():
     with pytest.raises(ValueError):
         Hypergraph([1], []).min_cut()
-    with pytest.raises(ValueError):
-        Hypergraph([1, 2], [({1, 2}, 1)]).min_cut(method="bogus")
-    tri = Hypergraph([1, 2, 3], [({1, 2}, 1), ({2, 3}, 1), ({1, 3}, 1)])
-    with pytest.raises(ValueError):
-        tri.min_cut(method="edge-scan")
-    # disconnected: capacity 0, but the scan route refuses
+    # disconnected: capacity 0, the first component as witness
     disc = Hypergraph([1, 2, 3, 4], [({1, 2}, 1), ({3, 4}, 1)])
     assert disc.min_cut().capacity == 0
     assert disc.min_cut().witness == frozenset({1, 2})
-    with pytest.raises(ValueError):
-        disc.min_cut(method="edge-scan")
 
 
 def test_min_cut_vertex_limit():
@@ -316,13 +288,9 @@ def test_min_cut_vertex_limit():
     assert not cyc.is_quasi_tree()
     mc = cyc.min_cut()
     assert mc.capacity == 1 and cyc.cut(mc.witness).weight == 1
-    with pytest.raises(MinCutLimitError):
-        cyc.min_cut(method="exhaustive")
-    # a large quasi-tree works through the default route and the scan
+    # a large quasi-tree: the cut is its lightest edge
     star = Hypergraph(range(1, 31), [({1, v}, 1) for v in range(2, 31)])
-    assert star.min_cut().capacity == 1 == star.min_cut(method="edge-scan").capacity
-    with pytest.raises(MinCutLimitError):
-        star.min_cut(method="exhaustive")
+    assert star.min_cut().capacity == 1 == min(e.weight for e in star.edges)
 
 
 @st.composite
@@ -340,7 +308,7 @@ def small_hypergraphs(draw):
 @given(h=small_hypergraphs())
 def test_property_default_min_cut_matches_exhaustive(h):
     mc = h.min_cut()
-    assert mc.capacity == h.min_cut(method="exhaustive").capacity
+    assert mc.capacity == brute_min_cut_weight(h)
     assert h.cut(mc.witness).weight == mc.capacity
 
 
@@ -364,7 +332,8 @@ def test_min_cut_matches_flow_oracle_beyond_exhaustive_limit(users, segments, ex
     nx = pytest.importorskip("networkx")
     for seed in (1, 2):
         h, _placement, _leftovers = random_instance(users, segments, extra, 3, seed).to_hypergraph()
-        assert h.num_vertices > MAX_EXHAUSTIVE_VERTICES and not h.is_quasi_tree()
+        # more vertices than brute_min_cut_weight can enumerate
+        assert h.num_vertices > 24 and not h.is_quasi_tree()
         mc = h.min_cut()
         assert mc.capacity == flow_min_cut(nx, h)
         assert h.cut(mc.witness).weight == mc.capacity
@@ -376,8 +345,8 @@ def test_min_cut_monotone_under_weight_increase():
         h = random_hypergraph(rng, rng.randint(3, 7), rng.randint(2, 6))
         if not h.is_connected():
             continue
-        base = h.min_cut(method="exhaustive").capacity
+        base = brute_min_cut_weight(h)
         e = h.edges[rng.randrange(len(h.edges))]
         pairs = [(f.vertices, f.weight) for f in h.edges]
         bumped = Hypergraph(h.vertices, pairs + [(e.vertices, 3)])
-        assert bumped.min_cut(method="exhaustive").capacity >= base
+        assert bumped.min_cut().capacity == brute_min_cut_weight(bumped) >= base

@@ -416,7 +416,7 @@ class ScriptedWords(random.Random):
 
 def test_payload_draw_equals_the_randrange_loop():
     for seed in (0, 1, 4, 2**40 + 3):
-        for n in (1, 2, 65 * 64, 3 * 5):
+        for n in (0, 1, 2, 65 * 64, 3 * 5):
             ours, loop = random.Random(seed), random.Random(seed)
             drawn = _draw_residues(ours, n)
             assert drawn.dtype == np.int64
