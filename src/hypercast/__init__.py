@@ -38,7 +38,6 @@ from .formats import (
 from .general import (
     ExperimentConfig,
     ExperimentRow,
-    GeneralRunResult,
     Reduction,
     dbqt_general,
     iter_experiment_instances,
@@ -76,7 +75,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRow",
     "FORMAT_VERSION",
-    "GeneralRunResult",
     "GenerationError",
     "Hypergraph",
     "MinCut",

@@ -155,20 +155,21 @@ def cmd_run(args) -> int:
     elif args.strategy == "naive":
         schedule = naive_schedule(topology)
     store = materialize_payloads(topology, seed=0) if args.payload_check else None
+    general = args.strategy == "dbqt-general"
+    if general:
+        schedule = dbqt_general(topology)
+    transcript = run_schedule(topology, schedule, store, completion=general)
+    if not transcript.complete:
+        raise ValueError("schedule did not complete decoding for every user")
+    total = transcript.num_broadcasts
     extra: dict = {}
-    if args.strategy == "dbqt-general":
-        result, transcript = dbqt_general(topology, store)
-        cut = result.min_cut
-        extra.update(
-            {
-                "dbqt_broadcasts": result.dbqt_broadcasts,
-                "completion_broadcasts": result.completion_broadcasts,
-            }
-        )
-    else:
-        cut = h.min_cut().capacity if has_cut else None
-        transcript = run_schedule(topology, schedule, store)
+    if general:
+        extra["dbqt_broadcasts"] = len(schedule)
+        extra["completion_broadcasts"] = total - len(schedule)
     if has_cut:
+        cut = h.min_cut().capacity
+        # naive sends W, DBQT W - delta, and no complete schedule fewer than w(E) - c
+        assert h.total_weight - cut <= total <= topology.num_segments
         extra["min_cut"] = cut
         extra["lower_bound"] = h.total_weight - cut
         extra["min_degree_lower_bound"] = min_degree_bound(h)
@@ -179,13 +180,11 @@ def cmd_run(args) -> int:
         "quasi_tree": h.is_quasi_tree(),
         "num_users": topology.num_users,
         "num_segments": topology.num_segments,
-        "num_broadcasts": transcript.num_broadcasts,
+        "num_broadcasts": total,
         "complete": transcript.complete,
         "payload_check": args.payload_check or None,
         **extra,
     }
-    if not transcript.complete:
-        raise ValueError("schedule did not complete decoding for every user")
     if args.transcript:
         with open(args.transcript, "w") as fh:
             fh.write(dumps_document(transcript_document(transcript)))

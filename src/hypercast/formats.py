@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .dbqt import QuasiTreePlan
 from .sim import Transcript
-from .topology import StorageTopology
+from .topology import StorageTopology, _integer
 
 FORMAT_VERSION = 1
 _INDENT = "  "
@@ -109,13 +109,6 @@ def dumps_document(doc: dict) -> str:
 
 def dumps_instance(topology: StorageTopology, metadata: Mapping | None = None) -> str:
     return dumps_document(instance_document(topology, metadata))
-
-
-def _integer(value, what: str) -> int:
-    # bool is an int subclass; floats and strings are refused, not coerced
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def parse_instance(doc) -> tuple[StorageTopology, dict]:

@@ -3,10 +3,10 @@
 On a connected model, redundant edges (those whose removal keeps it
 connected) are greedily stripped until a spanning quasi-tree remains,
 and the quasi-tree planner runs on it with the users' full storage.
-Any segment some user still lacks afterward, on any model, is then
-broadcast uncoded; a segment every user stores is never sent.  The
-total never exceeds W and never beats the lower bound w(E) - c, the
-model's total edge weight minus its min cut.
+`run_schedule(..., completion=True)` then broadcasts uncoded any
+segment some user still lacks; a segment every user stores is never
+sent.  The total never exceeds W and never beats the lower bound
+w(E) - c, the model's total edge weight minus its min cut.
 """
 from __future__ import annotations
 
@@ -17,12 +17,11 @@ from typing import Iterator
 from .dbqt import phase_schedule, plan_phases
 from .generators import check_instance_args, derive_seed, random_instance
 from .hypergraph import Edge, Hypergraph
-from .sim import SegmentStore, Transcript, run_schedule
+from .sim import Broadcast, run_schedule
 from .topology import StorageTopology
 
 __all__ = [
     "Reduction",
-    "GeneralRunResult",
     "ExperimentConfig",
     "ExperimentRow",
     "spanning_quasi_tree",
@@ -37,15 +36,6 @@ __all__ = [
 class Reduction:
     kept: Hypergraph
     removed: tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
-class GeneralRunResult:
-    total_broadcasts: int
-    dbqt_broadcasts: int
-    completion_broadcasts: int
-    lower_bound: int
-    min_cut: int
 
 
 def spanning_quasi_tree(h: Hypergraph) -> Reduction:
@@ -78,32 +68,18 @@ def min_degree_bound(h: Hypergraph) -> int:
     return h.total_weight - min(h.degree(v)[1] for v in h.vertices)
 
 
-def dbqt_general(
-    topology: StorageTopology, store: SegmentStore | None = None
-) -> tuple[GeneralRunResult, Transcript]:
-    """Plan and verify a schedule for an arbitrary topology.
+def dbqt_general(topology: StorageTopology) -> list[Broadcast]:
+    """The coded part of a schedule for an arbitrary topology.
 
-    The lower bound is the total edge weight minus the min cut, taken
-    once by its default route (0 with one user).  A positive cut means a
-    connected model: the quasi-tree planner runs on its spanning
-    reduction, with blocks drawn from full storage.  One simulated run
-    (on payloads too with a `store`) then sends each segment some user
-    still lacks uncoded, so a segment every user stores is never sent;
-    its transcript (with the schedule) is returned.  The run must
-    complete; the result satisfies lower_bound <= total <= W.
+    On a connected model with edges, the quasi-tree planner's schedule
+    on its spanning reduction, with blocks drawn from full storage;
+    otherwise no broadcast.  Run it with `completion=True` to send what
+    some user still lacks.
     """
     h, _placement, _leftovers = topology.to_hypergraph()
-    cut = h.min_cut().capacity if topology.num_users >= 2 else 0
-    coded = []
-    if cut:
-        coded = phase_schedule(topology, plan_phases(topology, spanning_quasi_tree(h).kept))
-    transcript = run_schedule(topology, coded, store, completion=True)
-    if not transcript.complete:
-        raise RuntimeError("schedule failed to complete; planner invariant broken")
-    total = transcript.num_broadcasts
-    result = GeneralRunResult(total, len(coded), total - len(coded), h.total_weight - cut, cut)
-    assert result.lower_bound <= result.total_broadcasts <= topology.num_segments
-    return result, transcript
+    if not (h.edges and h.is_connected()):
+        return []
+    return phase_schedule(topology, plan_phases(topology, spanning_quasi_tree(h).kept))
 
 
 @dataclass(frozen=True)
@@ -159,9 +135,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the general planner over a seeded grid and aggregate rows."""
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for V, W, _trial, topology in iter_experiment_instances(config):
-        result, _transcript = dbqt_general(topology)
+        transcript = run_schedule(topology, dbqt_general(topology), completion=True)
+        h, _placement, _leftovers = topology.to_hypergraph()
+        cut = h.min_cut().capacity if V >= 2 else 0
         buckets.setdefault((V, W), []).append(
-            (result.total_broadcasts, result.lower_bound)
+            (transcript.num_broadcasts, h.total_weight - cut)
         )
     rows = []
     for V in config.users_list:

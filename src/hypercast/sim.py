@@ -233,8 +233,6 @@ def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
     W = topology.num_segments
     _check_segment_limit(W)
     L = topology.payload_length if topology.payload_length is not None else W + 1
-    if L <= W:
-        raise ValueError(f"payload length {L} must exceed num_segments {W}")
     if L * W > _MAX_STORE_ENTRIES:
         raise ValueError(
             f"payload_length {L} over {W} segments needs {L * W} payload entries; "

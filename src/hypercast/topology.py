@@ -15,6 +15,13 @@ from .hypergraph import Hypergraph
 __all__ = ["StorageTopology"]
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; floats and strings are refused, not coerced
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class StorageTopology:
     """Immutable map from users 1..V to stored segment subsets of 1..W;
     every segment must be stored by some user."""
@@ -27,22 +34,22 @@ class StorageTopology:
         holdings: Mapping[int, Iterable[int]],
         payload_length: int | None = None,
     ):
-        if not isinstance(num_segments, int) or num_segments < 0:
+        if _integer(num_segments, "num_segments") < 0:
             raise ValueError(f"num_segments must be a non-negative integer, got {num_segments!r}")
-        users = sorted(holdings)
+        users = sorted(_integer(v, "user id") for v in holdings)
         if not users:
             raise ValueError("topology needs at least one user")
         if users != list(range(1, len(users) + 1)):
             raise ValueError(f"user ids must be exactly 1..{len(users)}, got {users}")
         held = []
         for v in users:
-            segs = frozenset(int(w) for w in holdings[v])
+            segs = frozenset(_integer(w, f"user {v} segment id") for w in holdings[v])
             if any(w < 1 or w > num_segments for w in segs):
                 bad = sorted(w for w in segs if w < 1 or w > num_segments)
                 raise ValueError(f"user {v} stores segments outside 1..{num_segments}: {bad}")
             held.append(segs)
         if payload_length is not None:
-            if not isinstance(payload_length, int) or payload_length <= num_segments:
+            if _integer(payload_length, "payload_length") <= num_segments:
                 raise ValueError(
                     f"payload_length must exceed num_segments={num_segments}, got {payload_length!r}"
                 )

@@ -224,6 +224,40 @@ def test_analyze_and_general_run_bytes_are_pinned(
     assert code == 0 and sha256(out) == general_digest
 
 
+@pytest.mark.parametrize(
+    "users, segments, seed, extra, digests",
+    [
+        (8, 18, 7, 2, [
+            "d437bb5c027e266e5cb2b1a84813ac41406d4e6e51eb1167192fa3edeb426003",
+            "2731f8dd1bac94e567f7e621f4c40e4d79b4950a43e3541b7d5e719e0236f919",
+            "ed81913b517746ee57648ee7465a87cdf273dd3de53c8351da9605ab7bac3952",
+        ]),
+        (30, 120, 1, 3, [
+            "c0254d8a7ed216a803db3200eaae0e57f29265ab2cc6bfa61bd42434d6a399b2",
+            "b70912cb59dddc8769104b68f6eeef649c7a220a6dc29181d20c5bc02882bc41",
+            "8825372bf610522bdaaba55959e7abda2dfc4ce4294babaa32c8d559e5d471ea",
+        ]),
+    ],
+)
+def test_payload_general_transcript_and_naive_bytes_are_pinned(
+    capsys, tmp_path, users, segments, seed, extra, digests
+):
+    path, transcript = tmp_path / "inst.json", tmp_path / "tr.json"
+    code, _, _ = run_cli(
+        capsys, "gen", "--users", str(users), "--segments", str(segments),
+        "--seed", str(seed), "--extra-edges", str(extra), "--out", str(path),
+    )
+    assert code == 0
+    code, general, _ = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt-general",
+        "--payload-check", "--transcript", str(transcript),
+    )
+    assert code == 0
+    code, naive, _ = run_cli(capsys, "run", "--in", str(path), "--strategy", "naive")
+    assert code == 0
+    assert [sha256(general), sha256(transcript.read_text()), sha256(naive)] == digests
+
+
 def test_dbqt_run_plan_and_transcript_bytes_are_pinned(capsys, tmp_path):
     path, plan, transcript = (tmp_path / n for n in ("inst.json", "plan.json", "tr.json"))
     run_cli(capsys, "gen", "--users", "8", "--segments", "18", "--seed", "7", "--out", str(path))
@@ -389,6 +423,23 @@ def test_payload_check_refuses_segment_limit_before_drawing(
     path = write_doc(tmp_path, 2, W, {1: range(1, W + 1), 2: {1}})
     code, out, err = run_cli(
         capsys, "run", "--in", str(path), "--strategy", strategy, "--payload-check"
+    )
+    assert code == 2 and out == ""
+    assert f"simulator supports at most {W - 1} segments, got {W}" in err
+
+
+def test_payload_check_refuses_segment_limit_before_general_plans(
+    capsys, monkeypatch, tmp_path
+):
+    def reached(*_args):
+        raise AssertionError("planned for an instance the simulator refuses")
+
+    monkeypatch.setattr(hypercast.cli, "dbqt_general", reached)
+    W = hypercast.sim.MAX_SIM_SEGMENTS + 1
+    # segment 1 on users {1, 2} and segment 2 on {1, 3}: a connected model
+    path = write_doc(tmp_path, 3, W, {1: range(1, W + 1), 2: {1}, 3: {2}})
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt-general", "--payload-check"
     )
     assert code == 2 and out == ""
     assert f"simulator supports at most {W - 1} segments, got {W}" in err

@@ -126,29 +126,36 @@ def test_min_degree_never_beats_min_cut_bound():
         checked += 1
 
 
+def lower_bound(topo):
+    h, _placement, _leftovers = topo.to_hypergraph()
+    return h.total_weight - h.min_cut().capacity if topo.num_users >= 2 else 0
+
+
 def test_dbqt_general_triangle(triangle_topology):
-    result, transcript = dbqt_general(triangle_topology)
-    assert result.total_broadcasts == 2
-    assert result.lower_bound == 1
-    assert result.dbqt_broadcasts + result.completion_broadcasts == 2
-    assert transcript.complete and transcript.num_broadcasts == 2
+    coded = dbqt_general(triangle_topology)
+    transcript = run_schedule(triangle_topology, coded, completion=True)
+    assert transcript.num_broadcasts == 2
+    assert lower_bound(triangle_topology) == 1
+    assert transcript.complete
     t = run_schedule(triangle_topology, transcript.schedule)
     assert t.complete and t.num_broadcasts == 2
 
 
 def test_dbqt_general_matches_plain_planner_on_quasi_trees(tree_topology):
-    result, transcript = dbqt_general(tree_topology)
-    assert result.completion_broadcasts == 0
-    assert result.total_broadcasts == 3 == result.lower_bound
+    coded = dbqt_general(tree_topology)
+    transcript = run_schedule(tree_topology, coded, completion=True)
+    assert transcript.num_broadcasts == len(coded)
+    assert transcript.num_broadcasts == 3 == lower_bound(tree_topology)
     assert run_schedule(tree_topology, transcript.schedule).complete
 
 
 def test_dbqt_general_disconnected_sends_each_lacked_segment_uncoded(disconnected_topology):
     # no segment is stored by every user, so each one goes out once,
     # from its lowest holder: the naive schedule
-    result, transcript = dbqt_general(disconnected_topology)
-    assert result.total_broadcasts == disconnected_topology.num_segments
-    assert result.dbqt_broadcasts == 0
+    coded = dbqt_general(disconnected_topology)
+    transcript = run_schedule(disconnected_topology, coded, completion=True)
+    assert transcript.num_broadcasts == disconnected_topology.num_segments
+    assert coded == []
     assert transcript.schedule == naive_schedule(disconnected_topology)
     assert transcript.complete
 
@@ -164,35 +171,38 @@ def test_dbqt_general_disconnected_sends_each_lacked_segment_uncoded(disconnecte
 )
 def test_dbqt_general_never_sends_a_segment_every_user_stores(holdings, lower, sent):
     topo = StorageTopology(max(map(max, holdings.values())), holdings)
-    result, transcript = dbqt_general(topo)
+    coded = dbqt_general(topo)
+    transcript = run_schedule(topo, coded, completion=True)
     assert transcript.complete
-    assert (result.min_cut, result.lower_bound, result.dbqt_broadcasts) == (0, lower, 0)
-    assert result.total_broadcasts == result.completion_broadcasts == len(sent)
+    h, _placement, _leftovers = topo.to_hypergraph()
+    assert (h.min_cut().capacity, lower_bound(topo), len(coded)) == (0, lower, 0)
+    assert transcript.num_broadcasts == len(sent)
     assert [(b.sender, b.coefficients.index(1) + 1) for b in transcript.schedule] == sent
 
 
 @settings(max_examples=150, deadline=None)
 @given(topo=topologies())
 def test_property_dbqt_general_on_any_topology(topo):
-    result, transcript = dbqt_general(topo)
+    coded = dbqt_general(topo)
+    transcript = run_schedule(topo, coded, completion=True)
     W = topo.num_segments
-    assert transcript.complete and transcript.num_broadcasts == result.total_broadcasts
-    assert result.lower_bound <= result.total_broadcasts <= W
+    assert transcript.complete and transcript.schedule[: len(coded)] == coded
+    assert lower_bound(topo) <= transcript.num_broadcasts <= W
     everyone = frozenset(topo.users)
-    for b in transcript.schedule[result.dbqt_broadcasts:]:
+    for b in transcript.schedule[len(coded):]:
         (w,) = [w for w, c in enumerate(b.coefficients, start=1) if c]
         assert topo.holders_of(w) != everyone
     h, _placement, leftovers = topo.to_hypergraph()
     if h.is_quasi_tree() and not leftovers:
         delta = min(e.weight for e in h.edges)
-        assert result.total_broadcasts == W - delta == dbqt_schedule(topo).num_broadcasts
+        assert transcript.num_broadcasts == W - delta == dbqt_schedule(topo).num_broadcasts
 
 
 def test_dbqt_general_trivial_instances():
-    result, transcript = dbqt_general(StorageTopology(2, {1: {1, 2}}))
-    assert result.total_broadcasts == 0 and transcript.schedule == []
-    result, transcript = dbqt_general(StorageTopology(0, {1: (), 2: ()}))
-    assert result.total_broadcasts == 0 and transcript.schedule == []
+    for topo in (StorageTopology(2, {1: {1, 2}}), StorageTopology(0, {1: (), 2: ()})):
+        coded = dbqt_general(topo)
+        transcript = run_schedule(topo, coded, completion=True)
+        assert coded == [] and transcript.schedule == []
 
 
 def test_dbqt_general_random_cyclic_instances_stay_in_band():
@@ -203,10 +213,11 @@ def test_dbqt_general_random_cyclic_instances_stay_in_band():
         max_size = rng.randint(2, min(3, users - 1))
         extra = rng.randint(1, 2)
         topo = random_instance(users, tree_segments + extra, extra, max_size, 1000 + trial)
-        result, transcript = dbqt_general(topo)
+        coded = dbqt_general(topo)
+        transcript = run_schedule(topo, coded, completion=True)
         W = topo.num_segments
-        assert result.lower_bound <= result.total_broadcasts <= W
-        assert transcript.num_broadcasts == result.total_broadcasts
+        assert lower_bound(topo) <= transcript.num_broadcasts <= W
+        assert transcript.complete
         assert run_schedule(topo, transcript.schedule).complete
 
 

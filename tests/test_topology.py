@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypercast import Hypergraph, StorageTopology
+from conftest import topologies
+from hypercast import Hypergraph, StorageTopology, dumps_instance, loads_instance
 
 
 def test_constructor_validation():
@@ -23,6 +25,38 @@ def test_constructor_validation():
     topo = StorageTopology(2, {1: {1}, 2: {2}}, payload_length=5)
     assert topo.payload_length == 5
     assert StorageTopology(0, {1: ()}).num_segments == 0
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, what",
+    [
+        ((2, {1: [1, 2.9], 2: [2]}), {}, "user 1 segment id"),
+        ((2, {1: [1, 2.0]}), {}, "user 1 segment id"),
+        ((2, {1: [1, True], 2: [2]}), {}, "user 1 segment id"),
+        ((2, {1: [1], 2: ["2"]}), {}, "user 2 segment id"),
+        ((2, {True: [1], 2: [2]}), {}, "user id"),
+        ((2, {1: [1], 2.0: [2]}), {}, "user id"),
+        ((True, {1: [1]}), {}, "num_segments"),
+        ((2.0, {1: [1, 2]}), {}, "num_segments"),
+        (("2", {1: [1, 2]}), {}, "num_segments"),
+        ((0, {1: []}), {"payload_length": True}, "payload_length"),
+        ((2, {1: [1, 2]}), {"payload_length": 5.0}, "payload_length"),
+        ((2, {1: [1, 2]}), {"payload_length": "5"}, "payload_length"),
+    ],
+)
+def test_constructor_refuses_what_the_parser_refuses(args, kwargs, what):
+    # each of these used to be coerced, or written to a file the parser refuses
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        StorageTopology(*args, **kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=topologies(), extra=st.none() | st.integers(1, 3))
+def test_accepted_topologies_round_trip(topo, extra):
+    if extra is not None:
+        holdings = {v: topo.holding(v) for v in topo.users}
+        topo = StorageTopology(topo.num_segments, holdings, topo.num_segments + extra)
+    assert loads_instance(dumps_instance(topo)) == (topo, {})
 
 
 def test_basic_accessors(cyclic_topology):
