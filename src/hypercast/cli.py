@@ -27,7 +27,7 @@ from .general import (
     run_experiment,
 )
 from .generators import RNG_ALGORITHM, random_instance
-from .sim import materialize_payloads, naive_schedule, run_schedule
+from .sim import check_payload_rows, materialize_payloads, naive_schedule, run_schedule
 
 __all__ = ["main", "main_script"]
 
@@ -140,6 +140,8 @@ def cmd_run(args) -> int:
             f"(got --strategy {args.strategy})"
         )
     topology, _metadata = read_instance(args.infile)
+    if args.payload_check:
+        check_payload_rows(topology)
     h, _placement, _leftovers = topology.to_hypergraph()
     has_cut = h.num_vertices >= 2 and bool(h.edges)
     plan_doc = None

@@ -4,11 +4,12 @@ All vectors and matrices hold plain integers in [0, P).  Dense arithmetic
 uses int64 numpy arrays; a single product of two reduced values stays
 below 2**62, so every elementary step fits in int64 before the modular
 reduce.  UserBases keeps every user's sparse basis rows in flat int64
-arrays, so one vectorized pass takes a broadcast into all of them.
+arrays, and takes in a run of one sender's broadcasts with one grouped
+sum and one small dense elimination per slot for every user at once.
 """
 from __future__ import annotations
 
-from typing import Mapping
+import functools
 
 import numpy as np
 
@@ -20,6 +21,8 @@ __all__ = [
     "inv_mod_many",
     "rank_mod",
     "nonsingular_mod",
+    "combine_mod",
+    "Refused",
     "UserBases",
 ]
 
@@ -87,9 +90,31 @@ def nonsingular_mod(matrix) -> bool:
     return n == 0 or rank_mod(m) == n
 
 
+def combine_mod(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """coefficients @ columns mod P, for ints in [0, P) and at most 2**11
+    rows of `columns`: in 16-bit halves of the coefficients each sum of
+    products stays below 2**58."""
+    out = (coefficients >> 16) @ columns
+    out %= P
+    out *= 0x10000
+    out += (coefficients & 0xFFFF) @ columns
+    out %= P
+    return out
+
+
+class Refused(Exception):
+    """Slot `slot` of a run, counted from the run's first, cannot be sent:
+    its coefficients leave the sender's span or, with `payload`, its
+    payload differs from the store's combination."""
+
+    def __init__(self, slot: int, payload: bool):
+        super().__init__(slot, payload)
+        self.slot, self.payload = slot, payload
+
+
 class UserBases:
     """Every user's fully reduced basis over GF(P), held together so that
-    one vectorized pass takes a broadcast into all of them.
+    `deliver` takes a run of one sender's broadcasts into all of them.
 
     User u spans the unit vectors of its stored coordinates and its basis
     rows.  A row is 1 at its pivot and 0 at its owner's stored
@@ -108,7 +133,7 @@ class UserBases:
     """
 
     __slots__ = ("covered", "rank", "units", "shift", "owner", "pivot", "rows", "entries",
-                 "payloads", "source", "_at")
+                 "payloads", "source")
 
     def __init__(self, stored: np.ndarray, columns: np.ndarray | None = None):
         V, W = stored.shape
@@ -122,9 +147,6 @@ class UserBases:
         self.pivot = np.empty(capacity, dtype=np.int64)
         self.rows = 0
         self.entries = np.empty((3, 0), dtype=np.int64)
-        # maps from a user or a row id to its position in the current
-        # slot's arrays; -1 between slots
-        self._at = (np.full(V, -1), np.full(capacity, -1))
         self.payloads = self.source = None
         if columns is not None:
             # payload ids: the W columns, one zero row, then row r at W + 1 + r
@@ -133,108 +155,264 @@ class UserBases:
             self.payloads[W] = 0
             self.source = np.where(stored, np.arange(W), W)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Every user's residual of v (W ints in [0, P)), as a V x W array:
-        v off the user's covered coordinates, minus the multiples of its
-        rows.  A user spans v iff its residual is zero."""
+    def formed(self, users, vectors: np.ndarray) -> np.ndarray:
+        """The payload that each of `users` forms for each row of `vectors`
+        (k x W ints in [0, P)) from its sources, as a k x len(users) x L
+        array: the vector's payload for each user that spans it."""
+        cols = vectors.any(axis=0).nonzero()[0]
+        shape = (len(vectors), len(users), self.payloads.shape[1])
+        sources = self.payloads[self.source[np.ix_(users, cols)].T]  # column x user x L
+        sources = sources.reshape(cols.size, shape[1] * shape[2])
+        return combine_mod(vectors[:, cols], sources).reshape(shape)
+
+    def deliver(self, sender: int, vectors: np.ndarray, images: np.ndarray | None = None):
+        """Deliver a run: the broadcasts `vectors` (k x W ints in [0, P))
+        that user `sender` sends one after another, whose payloads must
+        equal `images` (k x L) in payload mode.
+
+        The sender gains no row from its own broadcasts, so the checks of
+        every slot come first, against its basis at the start of the run:
+        the first slot whose coefficients leave the sender's span, or whose
+        payload is not its image, raises Refused, and the slots from it on
+        are not delivered.  One grouped sum gives every user's residual of
+        every slot over the run's columns (the broadcasts' support and the
+        entries of the rows pivoted there), and `_eliminate` takes them in.
+
+        A run is cut where its pending block, its slots times the users
+        times its columns (payloads included), would outgrow what the bases
+        hold, their entries and their rows' payloads, plus one residual of
+        V x W coefficients and V x L payload values; the pieces go in one
+        after another.
+
+        Returns, per slot, every user's rank after it and the coordinates
+        of the units it made, one per user that decoded each.  A user's
+        units in one slot are its rows that lost their last entry, in the
+        order they were made, then its new row if that is one-hot; each
+        ``units`` list grows in that order.
+        """
         V, W = self.covered.shape
-        row, key, value = self.entries
-        # no entry sits at a pivot, so row r's multiple is v at r's pivot;
-        # each user's sum has fewer than W terms below P, exact in float64
-        spent = np.bincount(key, v[self.pivot[row]] * value % P, V << self.shift)
-        spent = spent.reshape(V, -1)[:, :W].astype(np.int64)
-        return np.where(self.covered, 0, v - spent) % P
+        shift, L = self.shift, 0 if self.payloads is None else self.payloads.shape[1]
+        out = []
+        while len(out) < len(vectors):
+            start = len(out)
+            row, key, value = self.entries
+            coord = key & ((1 << shift) - 1)
+            # what the bases hold, each row's L payload values included, and one residual
+            budget = self.entries.size + self.rows * L + V * (W + L)
+            run = vectors[start:start + max(1, budget // V + W)]
+            while True:
+                cols = run.any(axis=0)
+                terms = cols[self.pivot[row]]  # the rows pivoted on the support
+                cols[coord[terms]] = True  # and their entries' columns
+                cols = cols.nonzero()[0]
+                if len(run) * V * (cols.size + L) <= budget or len(run) == 1:
+                    break
+                # a prefix short enough even over every column of this one
+                run = run[:max(1, budget // (V * (cols.size + L)))]
+            k, width = len(run), cols.size + 1
+            col_at = np.full(W, width - 1)  # the last column, always zero, stands for the rest
+            col_at[cols] = np.arange(cols.size)
+            at = col_at[coord]  # each entry's column in the block
+            terms = terms.nonzero()[0]
+            # no entry sits at a pivot, so row r's multiple is the slot's
+            # coefficient at r's pivot; each user's sum has fewer than W terms
+            # below P, exact in float64.  The products go in groups of slots
+            # that the budget holds.
+            where = (key[terms] >> shift) * width + at[terms]
+            step = max(1, budget // max(terms.size, 1))
+            spent = functools.reduce(np.add, (
+                np.bincount(
+                    (np.arange(j, min(j + step, k))[:, None] * (V * width) + where).ravel(),
+                    (run[j:j + step, self.pivot[row[terms]]] * value[terms] % P).ravel(),
+                    k * V * width,
+                )
+                for j in range(0, k, step)
+            )).reshape(k, V, width)
+            spent[:, :, :-1] -= run[:, None, cols]
+            spent[:, :, :-1][:, self.covered[:, cols]] = 0
+            np.negative(spent, out=spent)
+            block = spent.astype(np.int64)
+            del spent
+            block %= P
+            refused = wrong = block[:, sender].any(axis=1)
+            formed = None
+            if images is not None:
+                formed = self.formed(np.arange(V), run)
+                refused = wrong | (formed[:, sender] != images[start:start + k]).any(axis=1)
+            if np.count_nonzero(refused):
+                j = int(refused.argmax())
+                raise Refused(start + j, not wrong[j])
+            if images is not None:  # what each user has left of the sender's payloads
+                np.subtract(formed[:, sender, None] + P, formed, out=formed)
+                formed %= P
+            out += self._eliminate(cols, at, block, formed, budget)
+        return out
 
-    def combine(self, v: np.ndarray) -> np.ndarray:
-        """Every user's payload for v from its sources, as a V x L array;
-        it is the payload of v for each user that spans v."""
-        cols = v.nonzero()[0]
-        # v in 16-bit halves: a sum of up to 2**11 products stays below 2**58
-        halves = np.array((v[cols] & 0xFFFF, v[cols] >> 16))
-        low, high = np.einsum("hk,ukl->hul", halves, self.payloads[self.source[:, cols]])
-        return (low + high % P * 0x10000) % P
+    def _eliminate(self, cols, at, block, payloads, budget):
+        """Take in a run's residuals slot by slot: `block` (k x V x width)
+        holds user u's residual of slot j over `cols` against its basis at
+        the start of the run, then one zero column, `at` each entry's column
+        in it (the zero one for columns beyond), `payloads` (k x V x L, or
+        None) the residuals' payloads and `budget` the run's memory budget.
 
-    def insert(self, residuals: np.ndarray, payloads: np.ndarray | None = None):
-        """Give each user with a nonzero residual (from `reduce`) a new row
-        with that residual's payload, and keep every basis fully reduced.
-
-        Returns the new units as (user, coordinate) pairs: each user's
-        rows that lost their last entry in ascending row id, then its new
-        row if it is one-hot, so each ``units`` list grows in that order.
+        At each slot a user's residual, by then reduced by every new row
+        before it, becomes a new row if it is nonzero, pivoted at its
+        smallest coordinate, and is substituted into every other row of its
+        owner with an entry there: the new rows, the later residuals and
+        the rows held from before the run.  The rows from before that can
+        be hit join a dense block over the run's columns: all at the start
+        if they fit the budget, else each at the first slot that hits it.
+        Only a held row's entries where its owner has a residual change, and
+        its payload is updated where it lies.  A row is emptied at the last
+        slot that hits it, or when it is made one-hot.  The blocks are
+        written back once.
         """
         V, W = self.covered.shape
         shift = self.shift
-        users = residuals.any(axis=1).nonzero()[0]
-        if not users.size:
-            return []
-        g = np.arange(users.size)
-        new_rows = residuals[users]
-        nonzero = new_rows != 0
-        q = nonzero.argmax(axis=1)  # the smallest residual coordinate
-        inv = np.array(inv_mod_many(new_rows[g, q].tolist()), dtype=np.int64)
-        new = self.rows + g
-        self.rows += users.size
-        self.owner[new] = users
-        self.pivot[new] = q
-        self.covered[users, q] = True
-        self.rank[users] += 1
-        if payloads is not None:
-            new_payloads = payloads[users] * inv[:, None] % P
-            self.payloads[W + 1 + new] = new_payloads
-            self.source[users, q] = W + 1 + new
-
-        # back-substitution: a hit row, one with an entry at its owner's new
-        # pivot, takes that entry's multiple of the new row.  One dense block
-        # holds the hit rows, then the new rows, over every column where any
-        # of them has an entry, and is written back whole.
+        k, _, width = block.shape
         row, key, value = self.entries
-        user_at, row_at = self._at
-        user_at[users] = users << shift | q  # the key of each user's new pivot
-        hit = (key == user_at[key >> shift]).nonzero()[0]
-        user_at[users] = -1
-        # hit rows are distinct: a row has one entry per coordinate, and a
-        # user gains at most one pivot per slot
-        hit_rows, a = row[hit], value[hit]
-        ids = np.concatenate((hit_rows, new))
-        owners = np.concatenate((key[hit] >> shift, users))
-        support = nonzero.any(axis=0)
-        kept = self.entries
-        if hit.size:
-            row_at[hit_rows] = np.arange(hit.size)
-            i = row_at[row]
-            row_at[hit_rows] = -1
-            theirs = i >= 0
-            mine = theirs.nonzero()[0]  # every entry of the hit rows
-            j = key[mine] & ((1 << shift) - 1)
-            support[j] = True
-            kept = self.entries.compress(~theirs, axis=1)
-        cols = support.nonzero()[0]
-        block = new_rows[:, cols] * inv[:, None] % P  # each new row 1 at its pivot
-        if hit.size:
-            of_user = np.searchsorted(users, owners[:hit.size])
-            # a product below 2**62 plus an entry below 2**31 fits int64;
-            # the hit entry itself cancels against the new row's pivot 1
-            hit_block = (P - a)[:, None] * block[of_user]
-            hit_block[i[mine], cols.searchsorted(j)] += value[mine]
-            hit_block %= P
-            block = np.concatenate((hit_block, block))
+        # the candidates: entries where their owner has a residual; `of`
+        # gives each its row among the candidate rows, in ascending row id
+        inside = block.any(axis=0)[key >> shift, at]
+        cand = inside.nonzero()[0]
+        flag = np.zeros(self.rows, dtype=bool)
+        flag[row[cand]] = True
+        cand_rows = flag.nonzero()[0]
+        of = cand_rows.searchsorted(row[cand])
+        # `taken` lists the held rows, as candidate rows, in the order they joined
+        if cand_rows.size * width <= budget:  # all fit: each is held from the start
+            taken = np.arange(cand_rows.size)
+            held = np.zeros((taken.size, width), dtype=np.int64)
+            held[of, at[cand]] = value[cand]
+            wait_of = of[:0]
+        else:  # each waits, as its candidate entries, for the first slot that hits it
+            taken = of[:0]
+            held = np.zeros((0, width), dtype=np.int64)
+            wait_of, wait_at, wait_value, wait_owner = of, at[cand], value[cand], key[cand] >> shift
+        holder = self.owner[cand_rows[taken]]
+        last_hit = np.full(cand_rows.size, -1)  # the last slot that hit each candidate row
+        everyone = np.arange(V)
+        pivot = np.full((k, V), width - 1)  # each new row's column; the last for none
+        hit_at = np.full((k, V), -1)  # the last slot that hit each row
+        for j in range(k):
+            residual = block[j]  # reduced by every new row before it
+            nonzero = residual != 0
+            nonzero[:, -1] = True
+            q = nonzero.argmax(axis=1)  # the smallest residual coordinate
+            gains = (q < width - 1).nonzero()[0]
+            if not gains.size:
+                continue
+            pivot[j] = q
+            inv = np.zeros(V, dtype=np.int64)
+            inv[gains] = inv_mod_many(residual[gains, q[gains]].tolist())
+            new = residual * inv[:, None] % P  # 1 at its pivot, 0 without a gain
             if payloads is not None:
-                at = W + 1 + hit_rows
-                # nonnegative terms: numpy's % is quicker on them
-                hit_payloads = (P - new_payloads)[of_user]
-                hit_payloads *= a[:, None]
-                hit_payloads += self.payloads[at]
-                hit_payloads %= P
-                self.payloads[at] = hit_payloads
-        block[hit.size + g, cols.searchsorted(q)] = 0  # a row holds no entry at its pivot
-        i, j = block.nonzero()
+                new_pay = payloads[j] * inv[:, None] % P
+            # a hit row, one with an entry at its owner's new pivot, takes
+            # that entry's multiple of the new row; the hit entry itself
+            # cancels against the pivot 1
+            a = block[:, everyone, q]
+            a[j] = 0
+            hit = a != 0
+            if np.count_nonzero(hit):
+                hit_at[hit] = j
+                block += (P - a)[:, :, None] * new  # below 2**62 + 2**31
+                _reduce(block)
+                if payloads is not None:
+                    payloads += (P - a)[:, :, None] * new_pay
+                    _reduce(payloads)
+            # the waiting rows join held when first hit; a row has one entry
+            # per column, so each is hit through at most one
+            first = wait_of[wait_at == q[wait_owner]] if wait_of.size else wait_of
+            if first.size:
+                place = np.full(cand_rows.size, -1)
+                place[first] = np.arange(first.size)
+                place = place[wait_of]
+                mine = place >= 0
+                rows = np.zeros((first.size, width), dtype=np.int64)
+                rows[place[mine], wait_at[mine]] = wait_value[mine]
+                wait = ~mine
+                wait_of, wait_at, wait_value, wait_owner = (
+                    wait_of[wait], wait_at[wait], wait_value[wait], wait_owner[wait])
+                held = np.concatenate((held, rows))
+                taken = np.concatenate((taken, first))
+                holder = np.concatenate((holder, self.owner[cand_rows[first]]))
+            b = held[np.arange(len(held)), q[holder]]
+            hits = b.nonzero()[0]
+            if hits.size:
+                b, owner = P - b[hits], holder[hits]
+                last_hit[taken[hits]] = j
+                rows = held[hits] + b[:, None] * new[owner]
+                _reduce(rows)
+                held[hits] = rows
+                if payloads is not None:  # a held row's payload stays in place
+                    at_rows = W + 1 + cand_rows[taken[hits]]
+                    rows = new_pay[owner]
+                    rows *= b[:, None]
+                    rows += self.payloads[at_rows]
+                    _reduce(rows)
+                    self.payloads[at_rows] = rows
+            new[everyone, q] = 0  # a row holds no entry at its pivot
+            block[j] = new
+            if payloads is not None:
+                payloads[j] = new_pay
+        # the held rows leave the entries and come back below, in row id order
+        joined = np.zeros(cand_rows.size, dtype=bool)
+        joined[taken] = True
+        keep = np.ones(len(row), dtype=bool)
+        keep[cand[joined[of]]] = False
+        self.entries = self.entries[:, keep]
+        order = taken.argsort()
+        taken = taken[order]
+        held, old, held_hit_at = held[order], cand_rows[taken], last_hit[taken]
+        holder = self.owner[old]
+        # the new rows, slot after slot and user after user, as their ids go
+        made = pivot < width - 1
+        slot, user = made.nonzero()
+        ids = self.rows + np.arange(slot.size)
+        self.rows += slot.size
+        coordinate = cols[pivot[slot, user]]
+        self.owner[ids] = user
+        self.pivot[ids] = coordinate
+        self.covered[user, coordinate] = True
+        ranks = self.rank + made.cumsum(axis=0)
+        self.rank = ranks[-1]
+        out = [(tuple(r), []) for r in ranks.tolist()]
+
+        # every row of the window: the held rows, then the new ones
+        rows = np.concatenate((held, block[slot, user]))[:, :-1]
+        ids = np.concatenate((old, ids))
+        user = np.concatenate((holder, user))
+        empty = ~rows.any(axis=1)
+        if np.count_nonzero(empty):
+            # a held row emptied here keeps the entries it has beyond the window
+            beyond = np.zeros(self.rows, dtype=bool)
+            beyond[self.entries[0]] = True
+            empty[:old.size] &= ~beyond[old]
+            # each unit's slot: the last that hit its row, or the one that made it
+            when = np.concatenate((held_hit_at, np.maximum(hit_at[made], slot)))
+            empty = empty.nonzero()[0]
+            empty = empty[when[empty].argsort(kind="stable")]
+            what = np.concatenate((self.pivot[old], coordinate))
+            for j, u, w in zip(when[empty].tolist(), user[empty].tolist(), what[empty].tolist()):
+                out[j][1].append(w)
+                self.units[u].append(w)
+        i, c = rows.nonzero()
         self.entries = np.concatenate(
-            (kept, np.array((ids[i], owners[i] << shift | cols[j], block[i, j]))), axis=1
+            (self.entries, np.array((ids[i], user[i] << shift | cols[c], rows[i, c]))), axis=1
         )
-        # the emptied hit rows in ascending row id, then the one-hot new
-        # rows, whose ids are larger than any before
-        found = np.sort(ids[~block.any(axis=1)])
-        out = list(zip(self.owner[found].tolist(), self.pivot[found].tolist()))
-        for u, w in out:
-            self.units[u].append(w)
+        if payloads is not None:
+            self.payloads[W + 1 + ids[old.size:]] = payloads[made]
+            self.source[user[old.size:], coordinate] = ids[old.size:] + W + 1
         return out
+
+
+_P = np.uint64(P)
+
+
+def _reduce(x: np.ndarray):
+    """x mod P in place, for int64 x in [0, 2**63): a division by a
+    constant unsigned integer is quicker in numpy than %."""
+    q = x.view(np.uint64) // _P
+    q *= _P
+    x -= q.view(np.int64)

@@ -4,20 +4,24 @@ A broadcast is a coefficient vector over the W segments, and its sender
 must be able to form it: the vector has to lie in the span of what the
 sender knows.  Every user spans the unit vectors of the segments it
 stores plus a fully reduced sparse basis over the segments it is
-missing, and all users' bases live in one field.UserBases, so each
-slot reduces the broadcast for every receiver in one vectorized pass.
+missing, and all users' bases live in one field.UserBases.  A run, the
+broadcasts one sender makes one after another, goes into every basis in
+one step: the sender learns nothing from its own broadcasts, so all of
+the run's checks come first, then one grouped sum reduces every slot
+for every receiver and a small dense elimination takes the slots in.
 A user's rank is its stored count plus its basis rank, and it has
 decoded segment w iff it stores w or its basis row with pivot w is
-one-hot.  The run is complete when every user reaches full rank.
+one-hot.  A schedule completes when every user reaches full rank.
 
 A schedule is a plain list of Broadcast(sender, coefficients), and a
 broadcast's slot is its position in it.  `run_schedule` is the one loop
-over slots; its Transcript holds one record per slot, in the same
-order, and each user's decoded segments at the end.  With a store it
-carries actual length-L codewords: every basis row holds the payload of
-its vector, and each row operation is applied to it.  Each slot checks
+over slots, which it walks run by run; its Transcript holds one record
+per slot, in the same order, and each user's decoded segments at the
+end.  With a store it carries actual length-L codewords: every basis
+row holds the payload of its vector, and each row operation is applied
+to it.  Each slot checks
 the sender's payload combination against M.c (M the store matrix, c the
-coefficient vector); at the end of the run every decoded segment is
+coefficient vector); at the end of the schedule every decoded segment is
 compared bit for bit with the store.  Either check raises
 PayloadMismatch.
 """
@@ -29,15 +33,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .field import P, UserBases, rank_mod
+from .field import P, Refused, UserBases, combine_mod, rank_mod
 from .topology import StorageTopology
 
 MAX_SIM_SEGMENTS = 2048  # the largest measured size that completed (README)
 # payload entries in the largest default store: L = W + 1 at W = MAX_SIM_SEGMENTS
 _MAX_STORE_ENTRIES = (MAX_SIM_SEGMENTS + 1) * MAX_SIM_SEGMENTS
+# payload values on the basis rows of the largest payload run measured to
+# complete: the (60, 1024) ladder point with 2 redundant edges, R = 58 942
+# rows of L = 1025 values (README)
+MAX_PAYLOAD_ROW_VALUES = 58_942 * 1025
 
 __all__ = [
     "MAX_SIM_SEGMENTS",
+    "MAX_PAYLOAD_ROW_VALUES",
     "PayloadMismatch",
     "Broadcast",
     "SlotRecord",
@@ -46,6 +55,7 @@ __all__ = [
     "run_schedule",
     "uncoded_broadcast",
     "naive_schedule",
+    "check_payload_rows",
     "materialize_payloads",
     "verify_payload_run",
 ]
@@ -100,7 +110,7 @@ def run_schedule(
     store: SegmentStore | None = None,
     completion: bool = False,
 ) -> Transcript:
-    """Deliver a schedule slot by slot: the one loop over broadcast slots.
+    """Deliver a schedule run by run: the one loop over broadcast slots.
 
     Every slot checks that the sender spans its coefficients and, with a
     `store`, that its payload equals the store's combination; once the
@@ -126,46 +136,60 @@ def run_schedule(
     bases = UserBases(stored, None if store is None else store.matrix.T)
     initial_ranks = tuple(bases.rank.tolist())
     records: list[SlotRecord] = []
+    run: list[tuple] = []  # the coefficients of the current run, not yet delivered
 
-    def slots():
-        yield from schedule
-        if completion:
-            for w in [c + 1 for c in range(W) if known[c] < V]:
-                yield uncoded_broadcast(topology, w)
-
-    for i, b in enumerate(slots()):
-        if not 1 <= b.sender <= V:
-            raise ValueError(f"slot {i}: sender {b.sender} outside 1..{V}")
-        if len(b.coefficients) != W:
-            raise ValueError(f"slot {i}: {len(b.coefficients)} coefficients for {W} segments")
+    def deliver(sender: int):
+        """Deliver the run: the broadcasts of `sender` since the last run."""
+        nonlocal open_edges
         try:
-            v = np.array(b.coefficients, dtype=np.int64)
+            vectors = np.array(run, dtype=np.int64)
         except OverflowError:  # a coefficient beyond int64: reduce it as a Python int
-            v = np.array([int(c) % P for c in b.coefficients], dtype=np.int64)
-        v %= P
-        dense = tuple(v.tolist())
-        residuals = bases.reduce(v)
-        if residuals[b.sender - 1].any():
-            raise ValueError(f"slot {i}: sender {b.sender} cannot form these coefficients")
-        payloads = None
-        if store is not None:
-            formed = bases.combine(v)
-            payload = formed[b.sender - 1]
-            expected = store.combine(v)
-            if not np.array_equal(payload, expected):
+            vectors = np.array([[int(c) % P for c in cs] for cs in run], dtype=np.int64)
+        vectors %= P
+        first = len(records)
+        try:
+            slots = bases.deliver(sender - 1, vectors, None if store is None else store.combine(vectors))
+        except Refused as refusal:
+            i = first + refusal.slot
+            if refusal.payload:
                 raise PayloadMismatch(
-                    f"slot {i}: sender {b.sender}'s payload is not the store's combination"
-                )
-            # what each receiver has left after taking out its own part
-            payloads = (payload + P - formed) % P
-        for _user, c in bases.insert(residuals, payloads):
-            known[c] += 1
-            if known[c] == V and c in edge_of:
-                e = edge_of[c]
-                left[e] -= 1
-                if not left[e]:
-                    open_edges -= 1
-        records.append(SlotRecord(b.sender, dense, tuple(bases.rank.tolist()), open_edges))
+                    f"slot {i}: sender {sender}'s payload is not the store's combination"
+                ) from None
+            raise ValueError(f"slot {i}: sender {sender} cannot form these coefficients") from None
+        for dense, (ranks, decoded) in zip(vectors.tolist(), slots):
+            for c in decoded:
+                known[c] += 1
+                if known[c] == V and c in edge_of:
+                    e = edge_of[c]
+                    left[e] -= 1
+                    if not left[e]:
+                        open_edges -= 1
+            records.append(SlotRecord(sender, tuple(dense), ranks, open_edges))
+        run.clear()
+
+    def walk(broadcasts: Iterable[Broadcast]):
+        """The one loop over slots: each run of one sender's broadcasts is
+        delivered once the next sender, an invalid slot or the end comes."""
+        sender = None
+        for b in broadcasts:
+            i = len(records) + len(run)
+            problem = None
+            if not 1 <= b.sender <= V:
+                problem = f"slot {i}: sender {b.sender} outside 1..{V}"
+            elif len(b.coefficients) != W:
+                problem = f"slot {i}: {len(b.coefficients)} coefficients for {W} segments"
+            if run and (problem or b.sender != sender):
+                deliver(sender)
+            if problem:
+                raise ValueError(problem)
+            sender = b.sender
+            run.append(b.coefficients)
+        if run:
+            deliver(sender)
+
+    walk(schedule)
+    if completion:
+        walk([uncoded_broadcast(topology, c + 1) for c in range(W) if known[c] < V])
     if store is not None:
         wrong = []
         for u, units in enumerate(bases.units):
@@ -220,10 +244,24 @@ class SegmentStore:
         self.matrix = matrix % P
 
     def combine(self, v: np.ndarray) -> np.ndarray:
-        """M.c for a coefficient vector c of W ints in [0, P)."""
-        cols = v.nonzero()[0]
-        # W products below P each: the sum stays below 2**42
-        return (self.matrix[:, cols] * v[cols] % P).sum(axis=1) % P
+        """M.c for a coefficient vector c of W ints in [0, P), or for each
+        row c of a k x W array of them."""
+        cols = v.reshape(-1, v.shape[-1]).any(axis=0).nonzero()[0]
+        return combine_mod(v[..., cols], self.matrix[:, cols].T)
+
+
+def check_payload_rows(topology: StorageTopology):
+    """Refuse a payload run whose basis rows can carry more than
+    MAX_PAYLOAD_ROW_VALUES payload values: up to R = V * W - sum |H_v|
+    rows of L values each.  Reads nothing but the holdings' sizes."""
+    W = topology.num_segments
+    L = topology.payload_length if topology.payload_length is not None else W + 1
+    R = topology.num_users * W - sum(len(topology.holding(v)) for v in topology.users)
+    if R * L > MAX_PAYLOAD_ROW_VALUES:
+        raise ValueError(
+            f"a payload check here carries up to {R} basis rows of {L} payload values, "
+            f"{R * L} in all; the simulator takes at most {MAX_PAYLOAD_ROW_VALUES}"
+        )
 
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:

@@ -445,6 +445,20 @@ def test_payload_check_refuses_segment_limit_before_general_plans(
     assert f"simulator supports at most {W - 1} segments, got {W}" in err
 
 
+def test_payload_check_plans_dbqt_before_the_segment_limit(capsys, tmp_path):
+    """Only the payload-row refusal comes before planning: a model that is
+    no quasi-tree, over the segment limit, is refused by the planner."""
+    W = hypercast.sim.MAX_SIM_SEGMENTS + 1
+    # segments 2 and 3 on users {2, 3} and {1, 3}, the rest on {1, 2}: a cycle
+    rest = range(4, W + 1)
+    path = write_doc(tmp_path, 3, W, {1: {1, 3, *rest}, 2: {1, 2, *rest}, 3: {2, 3}})
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt", "--payload-check"
+    )
+    assert code == 2 and out == ""
+    assert "rerun with --strategy dbqt-general" in err and "segments" not in err
+
+
 @pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
 def test_payload_check_refuses_long_payloads_before_drawing(
     capsys, monkeypatch, tmp_path, strategy
@@ -465,6 +479,32 @@ def test_payload_check_refuses_long_payloads_before_drawing(
     assert code == 2 and out == ""
     limit = (hypercast.sim.MAX_SIM_SEGMENTS + 1) * hypercast.sim.MAX_SIM_SEGMENTS
     assert "payload_length 3000000" in err and str(limit) in err
+
+
+@pytest.mark.parametrize("strategy", ["dbqt", "naive", "dbqt-general"])
+def test_payload_check_refuses_too_many_payload_values_before_planning(
+    capsys, monkeypatch, tmp_path, strategy
+):
+    """One user holds all 2048 segments and 19 hold none: the run can make
+    R = 19 * 2048 basis rows of L = 2049 payload values, over the limit, so
+    neither a plan nor a store is made."""
+    def reached(*_args):
+        raise AssertionError("planned or drew payloads for a run the simulator refuses")
+
+    for name in ("dbqt_schedule", "dbqt_general", "naive_schedule"):
+        monkeypatch.setattr(hypercast.cli, name, reached)
+    monkeypatch.setattr(hypercast.sim, "random", types.SimpleNamespace(Random=reached))
+    W = hypercast.sim.MAX_SIM_SEGMENTS
+    path = write_doc(tmp_path, 20, W, {1: range(1, W + 1), **{v: () for v in range(2, 21)}})
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", strategy, "--payload-check"
+    )
+    assert code == 2 and out == ""
+    R, L = 19 * W, W + 1
+    assert f"up to {R} basis rows of {L} payload values, {R * L} in all" in err
+    assert str(hypercast.sim.MAX_PAYLOAD_ROW_VALUES) in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])

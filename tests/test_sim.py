@@ -10,13 +10,16 @@ former per-user design.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypercast.sim
 from basis_oracle import ColumnBasis
 from conftest import topologies
 from hypercast import StorageTopology
@@ -26,6 +29,7 @@ from hypercast.sim import (
     _draw_residues,
     Broadcast,
     PayloadMismatch,
+    SegmentStore,
     materialize_payloads,
     naive_schedule,
     run_schedule,
@@ -57,6 +61,15 @@ def oracle(topology, coefficient_vectors, user) -> tuple[int, frozenset[int]]:
 
 def oracle_decoded(topology, coefficient_vectors, user) -> frozenset[int]:
     return oracle(topology, coefficient_vectors, user)[1]
+
+
+def oracle_rank(topology, coefficient_vectors, user) -> int:
+    """The rank of `user` after hearing the given vectors, by rank_mod."""
+    W = topology.num_segments
+    unit = np.eye(W, dtype=np.int64)
+    cols = [unit[w - 1] for w in sorted(topology.holding(user))]
+    cols += [np.asarray(c, dtype=np.int64) % P for c in coefficient_vectors]
+    return rank_mod(np.stack(cols, axis=1)) if cols else 0
 
 
 def check_oracle(topology, schedule, t):
@@ -253,20 +266,24 @@ def dict_basis_run(topology, schedule):
 
 
 def assert_matches_dict_basis(topology, schedule):
-    runs = []
-    honest_insert = UserBases.insert
+    """The run of `schedule` has the ranks and each user's decode order of
+    one dict basis per user; the bases are caught as the run builds them."""
+    made = []
 
-    def insert(self, residuals, payloads=None):
-        runs.append(self)
-        return honest_insert(self, residuals, payloads)
+    class Caught(UserBases):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(UserBases, "insert", insert)
+        mp.setattr(hypercast.sim, "UserBases", Caught)
         t = run_schedule(topology, schedule)
     ranks, units = dict_basis_run(topology, schedule)
     assert [r.ranks for r in t.slots] == ranks
-    if runs:
-        assert [[w + 1 for w in ws] for ws in runs[0].units] == units
+    [bases] = made
+    assert [[w + 1 for w in ws] for ws in bases.units] == units
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,8 +331,10 @@ def check_hand_built_run(topology, schedule):
     for v in topology.users:
         stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
     bases = UserBases(stored)
+    for sender, run in itertools.groupby(schedule, key=lambda b: b.sender):
+        vectors = np.array([b.coefficients for b in run], dtype=np.int64) % P
+        bases.deliver(sender - 1, vectors)
     for b in schedule:
-        bases.insert(bases.reduce(np.array(b.coefficients, dtype=np.int64)))
         for v in topology.users:
             if v != b.sender:
                 oracles[v].insert({w - 1: c for w, c in enumerate(b.coefficients, start=1)
@@ -358,6 +377,252 @@ def test_rows_emptied_in_the_slot_where_the_new_row_is_one_hot():
     ]
     check_hand_built_run(topo, schedule)
     assert dict_basis_run(topo, schedule)[1][1] == [3, 1, 2, 4]
+
+
+def run_heavy_schedule(rng, topology, runs, coeff_range):
+    """Runs of one sender's broadcasts, each up to twice the segment count
+    long: random mixes of what the sender knows, repeats of an earlier
+    broadcast of the run and zero vectors."""
+    W = topology.num_segments
+    heard: list[list[int]] = []
+    out = []
+    for _ in range(runs):
+        sender = rng.randint(1, topology.num_users)
+        known = [[int(w == u) for w in range(1, W + 1)] for u in sorted(topology.holding(sender))]
+        mine: list[list[int]] = []
+        for _ in range(rng.randint(1, 2 * W + 2)):
+            pick = rng.random()
+            if mine and pick < 0.25:
+                vec = rng.choice(mine)
+            elif pick < 0.35:
+                vec = [0] * W
+            else:
+                vec = [0] * W
+                for col in known + heard:
+                    a = rng.randrange(coeff_range)
+                    vec = [(x + a * y) % P for x, y in zip(vec, col)]
+            mine.append(vec)
+            out.append(Broadcast(sender, tuple(vec)))
+        heard += mine
+    return out
+
+
+def first_refusal(topology, schedule, lie=None):
+    """The first slot that one dict basis per user refuses, as (slot,
+    reason): "sender" or "length" for a malformed broadcast, "span" for
+    coefficients outside the sender's span, "payload" for a broadcast equal
+    to `lie`; None if every slot can be sent."""
+    stored = {v: topology.holding(v) for v in topology.users}
+    bases = {v: ColumnBasis() for v in topology.users}
+    for i, b in enumerate(schedule):
+        if not 1 <= b.sender <= topology.num_users:
+            return i, "sender"
+        if len(b.coefficients) != topology.num_segments:
+            return i, "length"
+        coeffs = {w: c % P for w, c in enumerate(b.coefficients, start=1) if c % P}
+        if not bases[b.sender].contains({w: c for w, c in coeffs.items() if w not in stored[b.sender]}):
+            return i, "span"
+        if b.coefficients == lie:
+            return i, "payload"
+        for v in topology.users:
+            if v != b.sender:
+                bases[v].insert({w: c for w, c in coeffs.items() if w not in stored[v]})
+    return None
+
+
+class LyingStore(SegmentStore):
+    """A store whose combination of one coefficient vector is off by one,
+    so a sender's payload for it does not match."""
+
+    __slots__ = ("lie",)
+
+    def __init__(self, store, lie):
+        super().__init__(store.topology, store.matrix)
+        self.lie = np.array(lie, dtype=np.int64)
+
+    def combine(self, v):
+        out = np.array(super().combine(v), ndmin=2)
+        out[(np.array(v, ndmin=2) == self.lie).all(axis=1), 0] += 1
+        return out.reshape(super().combine(v).shape)
+
+
+def assert_refused_as_dict_basis(topology, schedule, lie=None):
+    """run_schedule raises at the slot, and for the reason, that
+    first_refusal finds; with `lie`, in payload mode through LyingStore."""
+    expected = first_refusal(topology, schedule, lie)
+    store = None
+    if lie is not None:
+        store = LyingStore(materialize_payloads(topology, seed=3), lie)
+    if expected is None:
+        run_schedule(topology, schedule, store)
+        return
+    slot, reason = expected
+    b = schedule[slot]
+    message = {
+        "sender": f"slot {slot}: sender {b.sender} outside 1..{topology.num_users}",
+        "length": f"slot {slot}: {len(b.coefficients)} coefficients for {topology.num_segments} segments",
+        "span": f"slot {slot}: sender {b.sender} cannot form these coefficients",
+        "payload": f"slot {slot}: sender {b.sender}'s payload is not the store's combination",
+    }[reason]
+    with pytest.raises(ValueError) as caught:
+        run_schedule(topology, schedule, store)
+    assert str(caught.value) == message
+    assert isinstance(caught.value, PayloadMismatch) == (reason == "payload")
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3),
+       coeff_range=st.sampled_from([2, P]))
+def test_property_runs_match_dict_basis_and_rank_oracle(topo, seed, runs, coeff_range):
+    """Runs that repeat past their support size, hold zero or repeated
+    broadcasts and get cut by the budget: ranks and decode order as the
+    dict bases, ranks as rank_mod, and a payload run that decodes."""
+    schedule = run_heavy_schedule(random.Random(seed), topo, runs, coeff_range)
+    assert_matches_dict_basis(topo, schedule)
+    t = run_schedule(topo, schedule)
+    heard = [b.coefficients for b in schedule]
+    for k, record in enumerate(t.slots, start=1):
+        assert record.ranks == tuple(oracle_rank(topo, heard[:k], v) for v in topo.users)
+    paid = run_schedule(topo, schedule, materialize_payloads(topo, seed=3), completion=True)
+    assert paid.complete and paid.slots[:len(schedule)] == t.slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3),
+       fault=st.sampled_from(["span", "length", "sender", "none"]), lie=st.booleans(),
+       where=st.floats(0, 1), lie_where=st.floats(0, 1))
+def test_property_runs_refuse_the_first_bad_slot(topo, seed, runs, fault, lie, where, lie_where):
+    """A sender that fails mid-run, a malformed slot mid-run and a payload
+    mismatch before or after either: run_schedule stops at the first bad
+    slot, for the same reason as the dict bases."""
+    rng = random.Random(seed)
+    schedule = run_heavy_schedule(rng, topo, runs, P)
+    f = int(where * (len(schedule) - 1))
+    b = schedule[f]
+    if fault == "span":
+        lacking = sorted(set(range(1, topo.num_segments + 1))
+                         - run_schedule(topo, schedule[:f]).decoded[b.sender - 1])
+        if lacking:
+            schedule[f] = unit_broadcast(b.sender, topo.num_segments, {lacking[0]: 5})
+    elif fault == "length":
+        schedule[f] = Broadcast(b.sender, b.coefficients + (0,))
+    elif fault == "sender":
+        schedule[f] = Broadcast(topo.num_users + 1, b.coefficients)
+    target = schedule[int(lie_where * (len(schedule) - 1))].coefficients if lie else None
+    if target is not None and len(target) != topo.num_segments:
+        target = None
+    assert_refused_as_dict_basis(topo, schedule, target)
+
+
+def test_a_payload_mismatch_before_a_span_failure_in_one_run():
+    """Slot 1 of a run is sent with a wrong payload and slot 3 leaves the
+    sender's span: the payload refusal comes first, and without it the
+    span one.  Swapped, the span refusal comes first."""
+    topo = StorageTopology(3, {1: {1, 2}, 2: {3}, 3: {1}})
+    run = [unit_broadcast(1, 3, {1: 1}), unit_broadcast(1, 3, {2: 1}),
+           unit_broadcast(1, 3, {1: 2, 2: 3}), unit_broadcast(1, 3, {3: 1}),
+           unit_broadcast(1, 3, {1: 4})]
+    assert first_refusal(topo, run, run[1].coefficients) == (1, "payload")
+    assert_refused_as_dict_basis(topo, run, run[1].coefficients)
+    assert first_refusal(topo, run) == (3, "span")
+    assert_refused_as_dict_basis(topo, run)
+    assert first_refusal(topo, run, run[4].coefficients) == (3, "span")
+    assert_refused_as_dict_basis(topo, run, run[4].coefficients)
+
+
+def count_pieces(topology, schedule):
+    """run_schedule's transcript and how many pieces the runs went in as."""
+    pieces = []
+
+    class Counted(UserBases):
+        __slots__ = ()
+
+        def _eliminate(self, cols, at, block, *rest):
+            pieces.append(len(block))
+            return super()._eliminate(cols, at, block, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypercast.sim, "UserBases", Counted)
+        t = run_schedule(topology, schedule)
+    return t, pieces
+
+
+def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
+    """Before any basis row exists the budget is one V x W residual, and a
+    broadcast over every segment fills it, so the first run goes in one
+    slot at a time until rows exist; it runs past its support size too."""
+    W = 12
+    topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: set(), 3: {1, 2},
+                               4: set(range(1, 7)), 5: {12}})
+    rng = random.Random(3)
+    schedule = [Broadcast(1, tuple(rng.randrange(1, P) for _ in range(W))) for _ in range(W + 3)]
+    schedule += [unit_broadcast(4, W, {2: 1, 5: 7}), unit_broadcast(4, W, {3: 1})]
+    t, pieces = count_pieces(topo, schedule)
+    assert pieces[0] == 1 and len(pieces) > 2
+    assert sum(pieces) == len(schedule)
+    check_hand_built_run(topo, schedule)
+    assert t.complete
+
+
+def whole_file_run(V, W, store=False):
+    """One sender broadcasts W - 1 combinations of every segment to V - 1
+    users that each miss two.  Returns the peak of traced memory during
+    the run above what is left after it."""
+    holdings = {1: set(range(1, W + 1))}
+    for u in range(2, V + 1):
+        holdings[u] = set(range(1, W + 1)) - {2 * u - 3, 2 * u - 2}
+    topo = StorageTopology(W, holdings)
+    rng = random.Random(1)
+    schedule = [Broadcast(1, tuple(rng.randrange(1, P) for _ in range(W))) for _ in range(W - 1)]
+    store = materialize_payloads(topo, seed=0) if store else None
+    run_schedule(topo, schedule[:2], store)  # numpy's first calls allocate for good
+    tracemalloc.start()
+    try:
+        t = run_schedule(topo, schedule, store)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.complete
+    return peak - kept
+
+
+def test_a_run_over_the_whole_file_stays_within_the_budget():
+    """In one piece the run's residuals would take (W - 1) x V x W values,
+    8.5 MB here; cut by the budget, the run peaks at less than four V x W
+    residuals above what its transcript keeps."""
+    V, W = 65, 128
+    assert whole_file_run(V, W) < 4 * V * W * 8
+
+
+def test_a_payload_run_over_the_whole_file_stays_within_the_budget():
+    """With payloads, forming every user's payload of a broadcast over
+    every segment gathers V x W x L values, as each slot did before runs
+    went in at once.  In one piece the run's pending payloads alone would
+    take (W - 1) x V x L values, as many again; cut by the budget, the run
+    peaks at less than four residuals of V x (W + L) values above that
+    gather."""
+    V, W = 65, 128
+    L = W + 1
+    assert whole_file_run(V, W, store=True) < (V * W * L + 4 * V * (W + L)) * 8
+
+
+def test_row_emptied_in_the_window_keeps_its_entries_beyond_it():
+    """User 2's row with pivot 1 holds segments 2 and 3.  User 3's e2 runs
+    over segment 2 alone, so the row's entry at 3 lies beyond that run's
+    columns: the row loses its entry at 2 there but is not decoded."""
+    topo = StorageTopology(4, {1: {1, 2, 3, 4}, 2: set(), 3: {2}})
+    schedule = [unit_broadcast(1, 4, {1: 1, 2: 1, 3: 1}), unit_broadcast(3, 4, {2: 1})]
+    assert check_hand_built_run(topo, schedule)[1, 0] == {2: 1}
+    assert run_schedule(topo, schedule).decoded[1] == frozenset({2})
+
+
+def test_rows_held_from_their_first_hit_match_the_dict_basis():
+    """A row from before a run joins it at the slot that first hits it;
+    on this instance rows join at later slots of their runs too."""
+    topo = random_instance(8, 24, 0, 3, 3)
+    schedule = list(dbqt_schedule(topo).schedule)
+    assert_matches_dict_basis(topo, schedule)
+    check_hand_built_run(topo, schedule)
 
 
 def test_coefficients_beyond_int64_and_negative_act_as_their_residues(tree_topology):
@@ -472,37 +737,38 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
         return v
 
     # every user's formed payload, the sender's among them, uses flipped coefficients
-    honest_combine = UserBases.combine
+    honest_formed = UserBases.formed
 
-    def combine(self, v):
-        return honest_combine(self, flipped(v))
+    def formed(self, users, vectors):
+        return honest_formed(self, users, np.array([flipped(v) for v in vectors]))
 
-    monkeypatch.setattr(UserBases, "combine", combine)
+    monkeypatch.setattr(UserBases, "formed", formed)
     with pytest.raises(PayloadMismatch, match="slot 0"):
         run_schedule(tree_topology, schedule, store)
     assert not verify_payload_run(store, schedule)
     monkeypatch.undo()
 
     # slot 0 (sender 3, segments 2 and 3) lets user 2 decode segment 3
-    honest_insert = UserBases.insert
     first = np.array(schedule[0].coefficients, dtype=np.int64)
-    calls = []
+    slipped = []
 
-    def insert(self, residuals, payloads=None):
-        if not calls:  # slot 0: user 2 takes in the flipped combination
-            payloads = payloads.copy()
-            payloads[1] = (
-                payloads[1] + store.combine(flipped(first)) - store.combine(first)
-            ) % P
-        calls.append(1)
-        return honest_insert(self, residuals, payloads)
+    def formed(self, users, vectors):
+        out = honest_formed(self, users, vectors)
+        users = list(users)
+        if 1 in users and not slipped:  # user 2 takes in the flipped combination at slot 0
+            assert np.array_equal(vectors[0], first)
+            out[0, users.index(1)] += store.combine(first) - store.combine(flipped(first))
+            out[0, users.index(1)] %= P
+            slipped.append(1)
+        return out
 
-    monkeypatch.setattr(UserBases, "insert", insert)
+    monkeypatch.setattr(UserBases, "formed", formed)
     assert not verify_payload_run(store, schedule)
-    calls.clear()
+    slipped.clear()
     # every sender stays honest, so only the final decode sees it
     with pytest.raises(PayloadMismatch, match="decoded payloads differ") as caught:
         run_schedule(tree_topology, schedule, store)
+    assert slipped
     mismatches = [(int(v), int(w)) for v, w in re.findall(r"\((\d+), (\d+)\)", str(caught.value))]
     # the error then spreads to what user 2 decodes later, and no further
     assert mismatches == [(2, 3), (2, 4), (2, 1)]
