@@ -27,7 +27,13 @@ from .general import (
     run_experiment,
 )
 from .generators import RNG_ALGORITHM, random_instance
-from .sim import check_payload_rows, materialize_payloads, naive_schedule, run_schedule
+from .sim import (
+    check_payload_rows,
+    check_sim_cells,
+    materialize_payloads,
+    naive_schedule,
+    run_schedule,
+)
 
 __all__ = ["main", "main_script"]
 
@@ -140,6 +146,7 @@ def cmd_run(args) -> int:
             f"(got --strategy {args.strategy})"
         )
     topology, _metadata = read_instance(args.infile)
+    check_sim_cells(topology)
     if args.payload_check:
         check_payload_rows(topology)
     h, _placement, _leftovers = topology.to_hypergraph()

@@ -3,13 +3,16 @@
 All vectors and matrices hold plain integers in [0, P).  Dense arithmetic
 uses int64 numpy arrays; a single product of two reduced values stays
 below 2**62, so every elementary step fits in int64 before the modular
-reduce.  UserBases keeps every user's sparse basis rows in flat int64
-arrays, and takes in a run of one sender's broadcasts with one grouped
-sum and one small dense elimination per slot for every user at once.
+reduce; large products (combine_mod) go through exact float64 BLAS
+products on 11-bit limbs.  UserBases keeps every user's sparse basis rows
+in flat int64 arrays, and takes in a run of one sender's broadcasts with
+one grouped sum and one small dense elimination per slot for every user
+at once, payloads included.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -90,16 +93,44 @@ def nonsingular_mod(matrix) -> bool:
     return n == 0 or rank_mod(m) == n
 
 
+# multiply-adds from which combine_mod takes float64 (BLAS) products: no
+# product of the benchmark's payload workload reaches it, and there BLAS
+# saves no time but raises the peak; simulations with a store from about
+# 20 users and 128 segments on, whose products mostly reach it, are where
+# BLAS starts to be faster (BENCH_17.json)
+BLAS_MIN_PRODUCT = 1 << 19
+
+
 def combine_mod(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """coefficients @ columns mod P, for ints in [0, P) and at most 2**11
-    rows of `columns`: in 16-bit halves of the coefficients each sum of
-    products stays below 2**58."""
-    out = (coefficients >> 16) @ columns
-    out %= P
-    out *= 0x10000
-    out += (coefficients & 0xFFFF) @ columns
-    out %= P
-    return out
+    """coefficients @ columns mod P, for ints in [0, P), coefficients of
+    any shape (..., n) and at most 2**11 rows of `columns` (n x m).
+
+    Below BLAS_MIN_PRODUCT multiply-adds two int64 products take the
+    coefficients' 16-bit halves, each sum below 2**58.  From it on, one
+    float64 (BLAS) product per 11-bit limb of the coefficients: a limb
+    times a value below 2**31 stays below 2**42, so every sum of at most
+    2**11 of them stays below 2**53 and is exact.  Besides the result,
+    it takes at most a copy of `columns` and two results' worth of
+    temporaries.
+    """
+    lead, n = coefficients.shape[:-1], coefficients.shape[-1]
+    if coefficients.size * columns.shape[1] < BLAS_MIN_PRODUCT:
+        out = (coefficients >> 16) @ columns
+        _reduce(out)
+        out <<= 16
+        out += (coefficients & 0xFFFF) @ columns
+        _reduce(out)
+        return out
+    rows = math.prod(lead)
+    limbs = [(coefficients >> shift & 0x7FF).reshape(rows, n).astype(np.float64)
+             for shift in (22, 11, 0)]
+    out = np.zeros((rows, columns.shape[1]), dtype=np.int64)
+    columns = columns.astype(np.float64)
+    for limb in limbs:
+        out <<= 11
+        out += (limb @ columns).astype(np.int64)
+        _reduce(out)
+    return out.reshape(*lead, columns.shape[1])
 
 
 class Refused(Exception):
@@ -158,12 +189,24 @@ class UserBases:
     def formed(self, users, vectors: np.ndarray) -> np.ndarray:
         """The payload that each of `users` forms for each row of `vectors`
         (k x W ints in [0, P)) from its sources, as a k x len(users) x L
-        array: the vector's payload for each user that spans it."""
+        array: the vector's payload for each user that spans it.  The
+        sources are gathered and combined a chunk of users at a time, each
+        taking at most what the pending block of the vectors over their
+        support takes, or _STEP_VALUES if that is more."""
         cols = vectors.any(axis=0).nonzero()[0]
-        shape = (len(vectors), len(users), self.payloads.shape[1])
-        sources = self.payloads[self.source[np.ix_(users, cols)].T]  # column x user x L
-        sources = sources.reshape(cols.size, shape[1] * shape[2])
-        return combine_mod(vectors[:, cols], sources).reshape(shape)
+        k, L = len(vectors), self.payloads.shape[1]
+        coefficients = vectors[:, cols]
+        out = np.empty((k, len(users), L), dtype=np.int64)
+        # a user takes its sources and its k x L payloads, and in combine_mod
+        # at most a copy of its sources and two k x L temporaries
+        chunk = max(k * len(users) * (cols.size + L), _STEP_VALUES)
+        step = max(1, chunk // ((2 * cols.size + 3 * k) * L))
+        for i in range(0, len(users), step):
+            part = users[i:i + step]
+            sources = self.payloads[self.source[np.ix_(part, cols)].T]  # column x user x L
+            sources = sources.reshape(cols.size, len(part) * L)
+            out[:, i:i + step] = combine_mod(coefficients, sources).reshape(k, len(part), L)
+        return out
 
     def deliver(self, sender: int, vectors: np.ndarray, images: np.ndarray | None = None):
         """Deliver a run: the broadcasts `vectors` (k x W ints in [0, P))
@@ -178,11 +221,14 @@ class UserBases:
         every slot over the run's columns (the broadcasts' support and the
         entries of the rows pivoted there), and `_eliminate` takes them in.
 
-        A run is cut where its pending block, its slots times the users
-        times its columns (payloads included), would outgrow what the bases
-        hold, their entries and their rows' payloads, plus one residual of
-        V x W coefficients and V x L payload values; the pieces go in one
-        after another.
+        In payload mode each user's residual of a slot carries its L
+        payload values as columns after the coefficients, so one rank-1
+        step per slot updates both.  A run is cut where its pending block,
+        slots by users by its columns plus L, would outgrow what the bases
+        hold (their entries and, with payloads, the W + 1 store and zero
+        rows and every row's L values) plus one residual of V x W
+        coefficients and V x L payload values; the pieces go in one after
+        another.
 
         Returns, per slot, every user's rank after it and the coordinates
         of the units it made, one per user that decoded each.  A user's
@@ -197,8 +243,8 @@ class UserBases:
             start = len(out)
             row, key, value = self.entries
             coord = key & ((1 << shift) - 1)
-            # what the bases hold, each row's L payload values included, and one residual
-            budget = self.entries.size + self.rows * L + V * (W + L)
+            # what the bases hold, the store and each row's payload included, and one residual
+            budget = self.entries.size + (W + 1 + self.rows) * L + V * (W + L)
             run = vectors[start:start + max(1, budget // V + W)]
             while True:
                 cols = run.any(axis=0)
@@ -231,29 +277,34 @@ class UserBases:
             spent[:, :, :-1] -= run[:, None, cols]
             spent[:, :, :-1][:, self.covered[:, cols]] = 0
             np.negative(spent, out=spent)
-            block = spent.astype(np.int64)
-            del spent
-            block %= P
-            refused = wrong = block[:, sender].any(axis=1)
-            formed = None
-            if images is not None:
+            if images is not None:  # formed before the block exists, to keep the peak low
                 formed = self.formed(np.arange(V), run)
+            # each residual's coefficients, then its L payload values
+            block = np.empty((k, V, width + L), dtype=np.int64)
+            residuals = block[:, :, :width]
+            residuals[...] = spent
+            del spent
+            residuals %= P
+            refused = wrong = residuals[:, sender].any(axis=1)
+            if images is not None:
                 refused = wrong | (formed[:, sender] != images[start:start + k]).any(axis=1)
             if np.count_nonzero(refused):
                 j = int(refused.argmax())
                 raise Refused(start + j, not wrong[j])
             if images is not None:  # what each user has left of the sender's payloads
-                np.subtract(formed[:, sender, None] + P, formed, out=formed)
-                formed %= P
-            out += self._eliminate(cols, at, block, formed, budget)
+                np.subtract(formed[:, sender, None] + P, formed, out=block[:, :, width:])
+                del formed
+                _reduce(block[:, :, width:])
+            out += self._eliminate(cols, at, block, budget)
         return out
 
-    def _eliminate(self, cols, at, block, payloads, budget):
-        """Take in a run's residuals slot by slot: `block` (k x V x width)
-        holds user u's residual of slot j over `cols` against its basis at
-        the start of the run, then one zero column, `at` each entry's column
-        in it (the zero one for columns beyond), `payloads` (k x V x L, or
-        None) the residuals' payloads and `budget` the run's memory budget.
+    def _eliminate(self, cols, at, block, budget):
+        """Take in a run's residuals slot by slot: `block` (k x V x (width
+        + L)) holds user u's residual of slot j over `cols` against its
+        basis at the start of the run, then one zero column (width in all),
+        then in payload mode the residual's L payload values; `at` gives
+        each entry's column in it (the zero one for columns beyond) and
+        `budget` the run's memory budget.
 
         At each slot a user's residual, by then reduced by every new row
         before it, becomes a new row if it is nonzero, pivoted at its
@@ -269,11 +320,12 @@ class UserBases:
         """
         V, W = self.covered.shape
         shift = self.shift
-        k, _, width = block.shape
+        k, width = len(block), cols.size + 1
+        paid = self.payloads is not None
         row, key, value = self.entries
         # the candidates: entries where their owner has a residual; `of`
         # gives each its row among the candidate rows, in ascending row id
-        inside = block.any(axis=0)[key >> shift, at]
+        inside = block[:, :, :width].any(axis=0)[key >> shift, at]
         cand = inside.nonzero()[0]
         flag = np.zeros(self.rows, dtype=bool)
         flag[row[cand]] = True
@@ -290,13 +342,19 @@ class UserBases:
             held = np.zeros((0, width), dtype=np.int64)
             wait_of, wait_at, wait_value, wait_owner = of, at[cand], value[cand], key[cand] >> shift
         holder = self.owner[cand_rows[taken]]
+        held_at = W + 1 + cand_rows[taken]  # each held row's payload
+        held_index = np.arange(len(held))
         last_hit = np.full(cand_rows.size, -1)  # the last slot that hit each candidate row
         everyone = np.arange(V)
         pivot = np.full((k, V), width - 1)  # each new row's column; the last for none
         hit_at = np.full((k, V), -1)  # the last slot that hit each row
+        # the block is updated a few slots at a time, so that the update's
+        # temporaries stay within _STEP_VALUES
+        step = max(1, _STEP_VALUES // block[0].size)
+        spans = [slice(lo, lo + step) for lo in range(0, k, step)]
         for j in range(k):
             residual = block[j]  # reduced by every new row before it
-            nonzero = residual != 0
+            nonzero = residual[:, :width] != 0
             nonzero[:, -1] = True
             q = nonzero.argmax(axis=1)  # the smallest residual coordinate
             gains = (q < width - 1).nonzero()[0]
@@ -306,8 +364,6 @@ class UserBases:
             inv = np.zeros(V, dtype=np.int64)
             inv[gains] = inv_mod_many(residual[gains, q[gains]].tolist())
             new = residual * inv[:, None] % P  # 1 at its pivot, 0 without a gain
-            if payloads is not None:
-                new_pay = payloads[j] * inv[:, None] % P
             # a hit row, one with an entry at its owner's new pivot, takes
             # that entry's multiple of the new row; the hit entry itself
             # cancels against the pivot 1
@@ -316,11 +372,10 @@ class UserBases:
             hit = a != 0
             if np.count_nonzero(hit):
                 hit_at[hit] = j
-                block += (P - a)[:, :, None] * new  # below 2**62 + 2**31
-                _reduce(block)
-                if payloads is not None:
-                    payloads += (P - a)[:, :, None] * new_pay
-                    _reduce(payloads)
+                for span in spans:
+                    part = block[span]
+                    part += (P - a[span])[:, :, None] * new  # below 2**62 + 2**31
+                    _reduce(part)
             # the waiting rows join held when first hit; a row has one entry
             # per column, so each is hit through at most one
             first = wait_of[wait_at == q[wait_owner]] if wait_of.size else wait_of
@@ -337,25 +392,27 @@ class UserBases:
                 held = np.concatenate((held, rows))
                 taken = np.concatenate((taken, first))
                 holder = np.concatenate((holder, self.owner[cand_rows[first]]))
-            b = held[np.arange(len(held)), q[holder]]
+                held_at = np.concatenate((held_at, W + 1 + cand_rows[first]))
+                held_index = np.arange(len(held))
+            b = held[held_index, q[holder]]
             hits = b.nonzero()[0]
             if hits.size:
-                b, owner = P - b[hits], holder[hits]
                 last_hit[taken[hits]] = j
-                rows = held[hits] + b[:, None] * new[owner]
+                owner, b = holder[hits], (P - b[hits])[:, None]
+                rows = new[owner, :width]
+                rows *= b
+                rows += held[hits]
                 _reduce(rows)
                 held[hits] = rows
-                if payloads is not None:  # a held row's payload stays in place
-                    at_rows = W + 1 + cand_rows[taken[hits]]
-                    rows = new_pay[owner]
-                    rows *= b[:, None]
+                if paid:  # a held row's payload stays in place
+                    at_rows = held_at[hits]
+                    rows = new[owner, width:]
+                    rows *= b
                     rows += self.payloads[at_rows]
                     _reduce(rows)
                     self.payloads[at_rows] = rows
             new[everyone, q] = 0  # a row holds no entry at its pivot
             block[j] = new
-            if payloads is not None:
-                payloads[j] = new_pay
         # the held rows leave the entries and come back below, in row id order
         joined = np.zeros(cand_rows.size, dtype=bool)
         joined[taken] = True
@@ -380,7 +437,7 @@ class UserBases:
         out = [(tuple(r), []) for r in ranks.tolist()]
 
         # every row of the window: the held rows, then the new ones
-        rows = np.concatenate((held, block[slot, user]))[:, :-1]
+        rows = np.concatenate((held[:, :-1], block[slot, user, :width - 1]))
         ids = np.concatenate((old, ids))
         user = np.concatenate((holder, user))
         empty = ~rows.any(axis=1)
@@ -401,13 +458,17 @@ class UserBases:
         self.entries = np.concatenate(
             (self.entries, np.array((ids[i], user[i] << shift | cols[c], rows[i, c]))), axis=1
         )
-        if payloads is not None:
-            self.payloads[W + 1 + ids[old.size:]] = payloads[made]
+        if paid:
+            self.payloads[W + 1 + ids[old.size:]] = block[made, width:]
             self.source[user[old.size:], coordinate] = ids[old.size:] + W + 1
         return out
 
 
 _P = np.uint64(P)
+# the values that the temporaries of one step of `formed` or of a slot's
+# block update may take (4 MB): smaller steps would cost more calls than
+# they save memory
+_STEP_VALUES = 1 << 19
 
 
 def _reduce(x: np.ndarray):

@@ -19,11 +19,13 @@ over slots, which it walks run by run; its Transcript holds one record
 per slot, in the same order, and each user's decoded segments at the
 end.  With a store it carries actual length-L codewords: every basis
 row holds the payload of its vector, and each row operation is applied
-to it.  Each slot checks
-the sender's payload combination against M.c (M the store matrix, c the
-coefficient vector); at the end of the schedule every decoded segment is
-compared bit for bit with the store.  Either check raises
-PayloadMismatch.
+to it.  A run's pending residuals carry their payloads as columns after
+their coefficients, so one rank-1 update per slot takes both, and the
+run budget counts the store's rows as well as the basis rows' payloads.
+Each slot checks the sender's payload combination against M.c (M the
+store matrix, c the coefficient vector); at the end of the schedule
+every decoded segment is compared bit for bit with the store.  Either
+check raises PayloadMismatch.
 """
 from __future__ import annotations
 
@@ -37,6 +39,9 @@ from .field import P, Refused, UserBases, combine_mod, rank_mod
 from .topology import StorageTopology
 
 MAX_SIM_SEGMENTS = 2048  # the largest measured size that completed (README)
+# users times segments of the largest run measured to complete at the
+# coefficient level: 1000 users and 2048 segments (README)
+MAX_SIM_CELLS = 1000 * 2048
 # payload entries in the largest default store: L = W + 1 at W = MAX_SIM_SEGMENTS
 _MAX_STORE_ENTRIES = (MAX_SIM_SEGMENTS + 1) * MAX_SIM_SEGMENTS
 # payload values on the basis rows of the largest payload run measured to
@@ -46,6 +51,7 @@ MAX_PAYLOAD_ROW_VALUES = 58_942 * 1025
 
 __all__ = [
     "MAX_SIM_SEGMENTS",
+    "MAX_SIM_CELLS",
     "MAX_PAYLOAD_ROW_VALUES",
     "PayloadMismatch",
     "Broadcast",
@@ -55,6 +61,7 @@ __all__ = [
     "run_schedule",
     "uncoded_broadcast",
     "naive_schedule",
+    "check_sim_cells",
     "check_payload_rows",
     "materialize_payloads",
     "verify_payload_run",
@@ -248,6 +255,18 @@ class SegmentStore:
         row c of a k x W array of them."""
         cols = v.reshape(-1, v.shape[-1]).any(axis=0).nonzero()[0]
         return combine_mod(v[..., cols], self.matrix[:, cols].T)
+
+
+def check_sim_cells(topology: StorageTopology):
+    """Refuse a run whose users times segments exceed MAX_SIM_CELLS: each
+    slot works on dense blocks of the users by the run's segments, so time
+    and memory grow with V x W.  Reads nothing but the two counts."""
+    V, W = topology.num_users, topology.num_segments
+    if V * W > MAX_SIM_CELLS:
+        raise ValueError(
+            f"a run here simulates {V} users by {W} segments, {V * W} in all; "
+            f"the simulator takes at most {MAX_SIM_CELLS} users times segments"
+        )
 
 
 def check_payload_rows(topology: StorageTopology):

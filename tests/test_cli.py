@@ -14,6 +14,7 @@ import hypercast.cli
 import hypercast.general
 import hypercast.generators
 import hypercast.sim
+from hypercast import StorageTopology
 from hypercast.cli import main
 from hypercast.formats import loads_instance
 from hypercast.hypergraph import Hypergraph
@@ -505,6 +506,31 @@ def test_payload_check_refuses_too_many_payload_values_before_planning(
     assert f"up to {R} basis rows of {L} payload values, {R * L} in all" in err
     assert str(hypercast.sim.MAX_PAYLOAD_ROW_VALUES) in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("strategy", ["dbqt", "naive", "dbqt-general"])
+def test_run_refuses_too_many_users_times_segments_before_planning(
+    capsys, monkeypatch, tmp_path, strategy
+):
+    """One user holds all 2048 segments and 1000 hold none: 1001 x 2048
+    is over the largest run measured to complete, so no plan is made; one
+    user fewer is at the limit and accepted by the check."""
+    def reached(*_args):
+        raise AssertionError("planned a run the simulator refuses")
+
+    for name in ("dbqt_schedule", "dbqt_general", "naive_schedule"):
+        monkeypatch.setattr(hypercast.cli, name, reached)
+    W = hypercast.sim.MAX_SIM_SEGMENTS
+    V = hypercast.sim.MAX_SIM_CELLS // W + 1
+    path = write_doc(tmp_path, V, W, {1: range(1, W + 1), **{v: () for v in range(2, V + 1)}})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--in", str(path), "--strategy", strategy)
+    assert code == 2 and out == ""
+    assert f"{V} users by {W} segments, {V * W} in all" in err
+    assert f"at most {hypercast.sim.MAX_SIM_CELLS} users times segments" in err
+    assert time.perf_counter() - start < 1.0
+    at_limit = StorageTopology(W, {1: set(range(1, W + 1)), **{v: set() for v in range(2, V)}})
+    hypercast.sim.check_sim_cells(at_limit)
 
 
 @pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])

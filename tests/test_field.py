@@ -25,7 +25,8 @@ from hypercast import (
     nonsingular_mod,
     rank_mod,
 )
-from hypercast.field import inv_mod_many
+from hypercast import field
+from hypercast.field import combine_mod, inv_mod_many
 from hypercast.sim import SegmentStore, materialize_payloads
 
 
@@ -131,6 +132,31 @@ def test_combine_sparse_matches_dense():
             sum(int(x) * c for x, c in zip(row, dense)) % P for row in store.matrix.tolist()
         ]
         assert store.combine(np.array(dense, dtype=np.int64)).tolist() == expect
+
+
+@pytest.mark.parametrize("blas_from", [0, 2**62])
+def test_combine_mod_is_exact_at_its_bound(monkeypatch, blas_from):
+    """2048 terms of (P - 1) * (P - 1), the largest sums combine_mod takes,
+    match the Python-int product in 1-D, 2-D and stacked shapes, with zero
+    rows and columns, on the float64 product and on the int64 one."""
+    monkeypatch.setattr(field, "BLAS_MIN_PRODUCT", blas_from)
+    rng = np.random.default_rng(5)
+    n = 2048
+    columns = np.full((n, 3), P - 1, dtype=np.int64)
+    columns[:, 1] = rng.integers(0, P, n)
+    columns[:, 2] = 0
+    for lead in ((), (4,), (2, 3), (0,), (2, 0)):
+        coefficients = np.full((*lead, n), P - 1, dtype=np.int64)
+        if coefficients.size:
+            coefficients.reshape(-1, n)[-1] = rng.integers(0, P, n)
+        for c, m in ((coefficients, columns), (coefficients, columns[:, :0]),
+                     (coefficients[..., :0], columns[:0])):
+            expected = np.array(c.astype(object) @ m.astype(object) % P if c.shape[-1]
+                                else np.zeros((*lead, m.shape[1]), dtype=object))
+            out = combine_mod(c, m)
+            assert out.dtype == np.int64 and out.shape == (*lead, m.shape[1])
+            assert out.tolist() == expected.tolist()
+    assert combine_mod(np.full(n, P - 1), columns[:, :1]).tolist() == [n * (P - 1) ** 2 % P]
 
 
 def test_rank_known_constructions():

@@ -530,8 +530,9 @@ def test_a_payload_mismatch_before_a_span_failure_in_one_run():
     assert_refused_as_dict_basis(topo, run, run[4].coefficients)
 
 
-def count_pieces(topology, schedule):
-    """run_schedule's transcript and how many pieces the runs went in as."""
+def count_pieces(topology, schedule, store=None):
+    """run_schedule's transcript and how many slots each piece of its runs
+    took, in order."""
     pieces = []
 
     class Counted(UserBases):
@@ -543,7 +544,7 @@ def count_pieces(topology, schedule):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypercast.sim, "UserBases", Counted)
-        t = run_schedule(topology, schedule)
+        t = run_schedule(topology, schedule, store)
     return t, pieces
 
 
@@ -562,6 +563,27 @@ def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
     assert sum(pieces) == len(schedule)
     check_hand_built_run(topo, schedule)
     assert t.complete
+
+
+def test_a_payload_run_budget_counts_the_store():
+    """Before any basis row exists, a payload run's budget holds the W + 1
+    store and zero rows besides one residual of V x (W + L) values.  So
+    the first run, two broadcasts over every segment, goes in as one
+    piece, where one residual alone would hold one slot at a time; the
+    run matches the dict basis and decodes the store."""
+    W = 12
+    topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: set(), 3: {1, 2},
+                               4: set(range(1, 7)), 5: {12}})
+    rng = random.Random(3)
+    schedule = [Broadcast(1, tuple(rng.randrange(1, P) for _ in range(W))) for _ in range(2)]
+    schedule += [unit_broadcast(4, W, {2: 1, 5: 7}), unit_broadcast(4, W, {3: 1})]
+    store = materialize_payloads(topo, seed=0)
+    V, L = topo.num_users, store.length
+    assert V * (W + L) < 2 * V * (W + L) <= (W + 1) * L + V * (W + L)
+    t, pieces = count_pieces(topo, schedule, store)
+    assert pieces == [2, 2]
+    assert [r.ranks for r in t.slots] == dict_basis_run(topo, schedule)[0]
+    check_hand_built_run(topo, schedule)
 
 
 def whole_file_run(V, W, store=False):

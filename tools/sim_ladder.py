@@ -5,14 +5,17 @@ Usage, with two checkouts side by side:
 
     python3 change/tools/sim_ladder.py --src parent/src --src change/src --out ladder.json
 
-Each point (users, segments) of POINTS draws `random_instance(users,
-segments, 0, 3, 1)`, a quasi-tree with edges of at most 3 users, plans
-it with `dbqt_schedule` and times one `run_schedule` of the plan at the
-coefficient level.  Every run is a fresh process, so its peak RSS
-(`ru_maxrss`) is that of one simulation plus the interpreter and numpy;
-each point runs REPEAT times per source, the sources alternating which
-goes first.  The report keeps every run and, per source and point, the
-median time and the largest peak.
+Each point (users, segments, store) of POINTS draws
+`random_instance(users, segments, 0, 3, 1)`, a quasi-tree with edges of
+at most 3 users, plans it with `dbqt_schedule` and times one
+`run_schedule` of the plan: at the coefficient level, or with the store
+`materialize_payloads(topology, 0)` (drawn before the clock starts) when
+`store` is true, the payload check of `run --payload-check`.  Every run
+is a fresh process, so its peak RSS (`ru_maxrss`) is that of one
+simulation plus the interpreter and numpy; each point runs REPEAT times
+per source, the sources alternating which goes first.  The report keeps
+every run and, per source and point, the median time and the largest
+peak.
 """
 from __future__ import annotations
 
@@ -24,7 +27,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-POINTS = ((12, 64), (20, 128), (30, 256), (40, 512), (60, 1024), (250, 1000))
+POINTS = (
+    (12, 64, False), (20, 128, False), (30, 256, False), (40, 512, False), (60, 1024, False),
+    (250, 1000, False), (12, 64, True), (40, 512, True),
+)
 REPEAT = 3
 
 CHILD = """
@@ -32,20 +38,21 @@ import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from hypercast.dbqt import dbqt_schedule
 from hypercast.generators import random_instance
-from hypercast.sim import run_schedule
-users, segments = int(sys.argv[2]), int(sys.argv[3])
+from hypercast.sim import materialize_payloads, run_schedule
+users, segments, store = int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "True"
 topology = random_instance(users, segments, 0, 3, 1)
 schedule = list(dbqt_schedule(topology).schedule)
+store = materialize_payloads(topology, 0) if store else None
 start = time.perf_counter()
-transcript = run_schedule(topology, schedule)
+transcript = run_schedule(topology, schedule, store)
 seconds = time.perf_counter() - start
 print(json.dumps({"simulate_s": seconds, "slots": len(schedule), "complete": transcript.complete,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
-def run_point(src: str, users: int, segments: int) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(users), str(segments)],
+def run_point(src: str, users: int, segments: int, store: bool) -> dict:
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, str(users), str(segments), str(store)],
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -59,19 +66,21 @@ def main() -> int:
     import numpy
 
     runs = []
-    for users, segments in POINTS:
+    for users, segments, store in POINTS:
         for r in range(REPEAT):
             order = args.src if r % 2 == 0 else args.src[::-1]
             for src in order:
-                row = {"src": src, "users": users, "segments": segments, **run_point(src, users, segments)}
+                row = {"src": src, "users": users, "segments": segments, "store": store,
+                       **run_point(src, users, segments, store)}
                 print(json.dumps(row), flush=True)
                 runs.append(row)
     summary = {}
     for src in args.src:
         summary[src] = {}
-        for users, segments in POINTS:
-            mine = [r for r in runs if r["src"] == src and (r["users"], r["segments"]) == (users, segments)]
-            summary[src][f"{users}x{segments}"] = {
+        for point in POINTS:
+            users, segments, store = point
+            mine = [r for r in runs if r["src"] == src and (r["users"], r["segments"], r["store"]) == point]
+            summary[src][f"{users}x{segments}" + ("+store" if store else "")] = {
                 "simulate_s_median": round(statistics.median(r["simulate_s"] for r in mine), 3),
                 "peak_rss_mb_max": round(max(r["peak_rss_mb"] for r in mine), 1),
                 "slots": mine[0]["slots"],
