@@ -6,8 +6,8 @@ below 2**62, so every elementary step fits in int64 before the modular
 reduce; large products (combine_mod) go through exact float64 BLAS
 products on 11-bit limbs.  UserBases keeps every user's sparse basis rows
 in flat int64 arrays, and takes in a run of one sender's broadcasts with
-one grouped sum and one small dense elimination per slot for every user
-at once, payloads included.
+one grouped sum and one small dense elimination per slot for every class
+of users whose residuals agree, payloads included.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ P = 2_147_483_647  # prime 2**31 - 1
 __all__ = [
     "P",
     "inv_mod",
-    "inv_mod_many",
     "rank_mod",
     "nonsingular_mod",
     "combine_mod",
@@ -36,20 +35,6 @@ def inv_mod(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse mod P")
     return pow(a, -1, P)
-
-
-def inv_mod_many(values: list[int]) -> list[int]:
-    """Inverses modulo P of many values with one pow (Montgomery's trick):
-    invert the product of them all, then peel one factor off at a time."""
-    prefix = [1]
-    for a in values:
-        prefix.append(prefix[-1] * a % P)
-    inv = inv_mod(prefix[-1])  # raises ZeroDivisionError if a value is 0 mod P
-    out = [0] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % P
-        inv = inv * values[i] % P
-    return out
 
 
 def rank_mod(matrix) -> int:
@@ -219,16 +204,19 @@ class UserBases:
         payload is not its image, raises Refused, and the slots from it on
         are not delivered.  One grouped sum gives every user's residual of
         every slot over the run's columns (the broadcasts' support and the
-        entries of the rows pivoted there), and `_eliminate` takes them in.
+        entries of the rows pivoted there), and `_eliminate` takes them in,
+        once for each class of users whose residuals agree bit for bit.
 
         In payload mode each user's residual of a slot carries its L
         payload values as columns after the coefficients, so one rank-1
-        step per slot updates both.  A run is cut where its pending block,
-        slots by users by its columns plus L, would outgrow what the bases
-        hold (their entries and, with payloads, the W + 1 store and zero
-        rows and every row's L values) plus one residual of V x W
-        coefficients and V x L payload values; the pieces go in one after
-        another.
+        step per slot updates both.  A run's budget is the larger of
+        RUN_ALLOWANCE values and what the bases hold (their entries and,
+        with payloads, the W + 1 store and zero rows and every row's L
+        values) plus one residual of V x W coefficients and V x L payload
+        values.  A run is cut where its pending block, users by slots by
+        its columns plus L, would outgrow it, and the pieces go in one
+        after another; the rows from before a piece are held from its
+        start where they fit the same budget.
 
         Returns, per slot, every user's rank after it and the coordinates
         of the units it made, one per user that decoded each.  A user's
@@ -243,8 +231,9 @@ class UserBases:
             start = len(out)
             row, key, value = self.entries
             coord = key & ((1 << shift) - 1)
-            # what the bases hold, the store and each row's payload included, and one residual
-            budget = self.entries.size + (W + 1 + self.rows) * L + V * (W + L)
+            # what the bases hold, the store and each row's payload included, and
+            # one residual, or RUN_ALLOWANCE if that is more
+            budget = max(self.entries.size + (W + 1 + self.rows) * L + V * (W + L), RUN_ALLOWANCE)
             run = vectors[start:start + max(1, budget // V + W)]
             while True:
                 cols = run.any(axis=0)
@@ -264,68 +253,75 @@ class UserBases:
             # coefficient at r's pivot; each user's sum has fewer than W terms
             # below P, exact in float64.  The products go in groups of slots
             # that the budget holds.
-            where = (key[terms] >> shift) * width + at[terms]
+            where = (key[terms] >> shift) * (k * width) + at[terms]
             step = max(1, budget // max(terms.size, 1))
             spent = functools.reduce(np.add, (
                 np.bincount(
-                    (np.arange(j, min(j + step, k))[:, None] * (V * width) + where).ravel(),
+                    (np.arange(j, min(j + step, k))[:, None] * width + where).ravel(),
                     (run[j:j + step, self.pivot[row[terms]]] * value[terms] % P).ravel(),
-                    k * V * width,
+                    V * k * width,
                 )
                 for j in range(0, k, step)
-            )).reshape(k, V, width)
-            spent[:, :, :-1] -= run[:, None, cols]
-            spent[:, :, :-1][:, self.covered[:, cols]] = 0
+            )).reshape(V, k, width)
+            spent[:, :, :-1] -= run[:, cols]
+            spent.swapaxes(0, 1)[:, :, :-1][:, self.covered[:, cols]] = 0
             np.negative(spent, out=spent)
             if images is not None:  # formed before the block exists, to keep the peak low
                 formed = self.formed(np.arange(V), run)
-            # each residual's coefficients, then its L payload values
-            block = np.empty((k, V, width + L), dtype=np.int64)
+            # user by user, each residual's coefficients, then its L payload values
+            block = np.empty((V, k, width + L), dtype=np.int64)
             residuals = block[:, :, :width]
             residuals[...] = spent
             del spent
             residuals %= P
-            refused = wrong = residuals[:, sender].any(axis=1)
+            refused = wrong = residuals[sender].any(axis=1)
             if images is not None:
                 refused = wrong | (formed[:, sender] != images[start:start + k]).any(axis=1)
             if np.count_nonzero(refused):
                 j = int(refused.argmax())
                 raise Refused(start + j, not wrong[j])
             if images is not None:  # what each user has left of the sender's payloads
-                np.subtract(formed[:, sender, None] + P, formed, out=block[:, :, width:])
+                np.subtract(formed[:, sender] + P, formed.swapaxes(0, 1), out=block[:, :, width:])
                 del formed
                 _reduce(block[:, :, width:])
-            out += self._eliminate(cols, at, block, budget)
+            del residuals  # a view, which would keep the whole block alive
+            # users whose residuals agree bit for bit take the same steps, so
+            # each class of them goes in once
+            cls, first = _classes(block)
+            block = block.swapaxes(0, 1).take(first, axis=1)
+            out += self._eliminate(cols, at, block, cls, budget)
         return out
 
-    def _eliminate(self, cols, at, block, budget):
-        """Take in a run's residuals slot by slot: `block` (k x V x (width
-        + L)) holds user u's residual of slot j over `cols` against its
-        basis at the start of the run, then one zero column (width in all),
-        then in payload mode the residual's L payload values; `at` gives
-        each entry's column in it (the zero one for columns beyond) and
-        `budget` the run's memory budget.
+    def _eliminate(self, cols, at, block, cls, budget):
+        """Take in a run's residuals slot by slot, once per class of users
+        whose residuals agree: `block` (k x C x (width + L)) holds class c's
+        residual of slot j over `cols` against its users' bases at the
+        start of the run, then one zero column (width in all), then in
+        payload mode the residual's L payload values; ``cls[u]`` is user
+        u's class, `at` gives each entry's column in the block (the zero
+        one for columns beyond) and `budget` the run's memory budget.
 
-        At each slot a user's residual, by then reduced by every new row
-        before it, becomes a new row if it is nonzero, pivoted at its
-        smallest coordinate, and is substituted into every other row of its
-        owner with an entry there: the new rows, the later residuals and
-        the rows held from before the run.  The rows from before that can
-        be hit join a dense block over the run's columns: all at the start
-        if they fit the budget, else each at the first slot that hits it.
-        Only a held row's entries where its owner has a residual change, and
-        its payload is updated where it lies.  A row is emptied at the last
-        slot that hits it, or when it is made one-hot.  The blocks are
-        written back once.
+        At each slot a class's residual, by then reduced by every new row
+        before it, becomes each of its users' new row if it is nonzero,
+        pivoted at its smallest coordinate, and is substituted into every
+        other row of each user with an entry there: the new rows and the
+        later residuals, which the class shares, and the rows held from
+        before the run, which are each user's own.  The rows from before
+        that can be hit join a dense block over the run's columns: all at
+        the start if they fit the budget, else each at the first slot that
+        hits it.  Only a held row's entries where its owner has a residual
+        change, and its payload is updated where it lies.  A row is emptied
+        at the last slot that hits it, or when it is made one-hot.  The
+        blocks are written back once, each user taking its class's rows.
         """
         V, W = self.covered.shape
         shift = self.shift
-        k, width = len(block), cols.size + 1
+        k, C, width = *block.shape[:2], cols.size + 1
         paid = self.payloads is not None
         row, key, value = self.entries
         # the candidates: entries where their owner has a residual; `of`
         # gives each its row among the candidate rows, in ascending row id
-        inside = block[:, :, :width].any(axis=0)[key >> shift, at]
+        inside = block[:, :, :width].any(axis=0)[cls[key >> shift], at]
         cand = inside.nonzero()[0]
         flag = np.zeros(self.rows, dtype=bool)
         flag[row[cand]] = True
@@ -340,14 +336,14 @@ class UserBases:
         else:  # each waits, as its candidate entries, for the first slot that hits it
             taken = of[:0]
             held = np.zeros((0, width), dtype=np.int64)
-            wait_of, wait_at, wait_value, wait_owner = of, at[cand], value[cand], key[cand] >> shift
-        holder = self.owner[cand_rows[taken]]
+            wait_of, wait_at, wait_value, wait_class = of, at[cand], value[cand], cls[key[cand] >> shift]
+        holder = cls[self.owner[cand_rows[taken]]]  # each held row's owner's class
         held_at = W + 1 + cand_rows[taken]  # each held row's payload
         held_index = np.arange(len(held))
         last_hit = np.full(cand_rows.size, -1)  # the last slot that hit each candidate row
-        everyone = np.arange(V)
-        pivot = np.full((k, V), width - 1)  # each new row's column; the last for none
-        hit_at = np.full((k, V), -1)  # the last slot that hit each row
+        everyone = np.arange(C)
+        pivot = np.full((k, C), width - 1)  # each new row's column; the last for none
+        hit_at = np.full((k, C), -1)  # the last slot that hit each row
         # the block is updated a few slots at a time, so that the update's
         # temporaries stay within _STEP_VALUES
         step = max(1, _STEP_VALUES // block[0].size)
@@ -361,8 +357,8 @@ class UserBases:
             if not gains.size:
                 continue
             pivot[j] = q
-            inv = np.zeros(V, dtype=np.int64)
-            inv[gains] = inv_mod_many(residual[gains, q[gains]].tolist())
+            inv = np.zeros(C, dtype=np.int64)
+            inv[gains] = [pow(x, -1, P) for x in residual[gains, q[gains]].tolist()]
             new = residual * inv[:, None] % P  # 1 at its pivot, 0 without a gain
             # a hit row, one with an entry at its owner's new pivot, takes
             # that entry's multiple of the new row; the hit entry itself
@@ -378,7 +374,7 @@ class UserBases:
                     _reduce(part)
             # the waiting rows join held when first hit; a row has one entry
             # per column, so each is hit through at most one
-            first = wait_of[wait_at == q[wait_owner]] if wait_of.size else wait_of
+            first = wait_of[wait_at == q[wait_class]] if wait_of.size else wait_of
             if first.size:
                 place = np.full(cand_rows.size, -1)
                 place[first] = np.arange(first.size)
@@ -387,11 +383,11 @@ class UserBases:
                 rows = np.zeros((first.size, width), dtype=np.int64)
                 rows[place[mine], wait_at[mine]] = wait_value[mine]
                 wait = ~mine
-                wait_of, wait_at, wait_value, wait_owner = (
-                    wait_of[wait], wait_at[wait], wait_value[wait], wait_owner[wait])
+                wait_of, wait_at, wait_value, wait_class = (
+                    wait_of[wait], wait_at[wait], wait_value[wait], wait_class[wait])
                 held = np.concatenate((held, rows))
                 taken = np.concatenate((taken, first))
-                holder = np.concatenate((holder, self.owner[cand_rows[first]]))
+                holder = np.concatenate((holder, cls[self.owner[cand_rows[first]]]))
                 held_at = np.concatenate((held_at, W + 1 + cand_rows[first]))
                 held_index = np.arange(len(held))
             b = held[held_index, q[holder]]
@@ -423,9 +419,12 @@ class UserBases:
         taken = taken[order]
         held, old, held_hit_at = held[order], cand_rows[taken], last_hit[taken]
         holder = self.owner[old]
-        # the new rows, slot after slot and user after user, as their ids go
+        # the new rows, slot after slot and user after user, as their ids go;
+        # each user's are its class's
+        pivot, hit_at = pivot[:, cls], hit_at[:, cls]
         made = pivot < width - 1
         slot, user = made.nonzero()
+        new = block[slot, cls[user]]
         ids = self.rows + np.arange(slot.size)
         self.rows += slot.size
         coordinate = cols[pivot[slot, user]]
@@ -435,9 +434,12 @@ class UserBases:
         ranks = self.rank + made.cumsum(axis=0)
         self.rank = ranks[-1]
         out = [(tuple(r), []) for r in ranks.tolist()]
+        if paid:
+            self.payloads[W + 1 + ids] = new[:, width:]
+            self.source[user, coordinate] = W + 1 + ids
 
         # every row of the window: the held rows, then the new ones
-        rows = np.concatenate((held[:, :-1], block[slot, user, :width - 1]))
+        rows = np.concatenate((held[:, :-1], new[:, :width - 1]))
         ids = np.concatenate((old, ids))
         user = np.concatenate((holder, user))
         empty = ~rows.any(axis=1)
@@ -458,9 +460,6 @@ class UserBases:
         self.entries = np.concatenate(
             (self.entries, np.array((ids[i], user[i] << shift | cols[c], rows[i, c]))), axis=1
         )
-        if paid:
-            self.payloads[W + 1 + ids[old.size:]] = block[made, width:]
-            self.source[user[old.size:], coordinate] = ids[old.size:] + W + 1
         return out
 
 
@@ -469,6 +468,31 @@ _P = np.uint64(P)
 # block update may take (4 MB): smaller steps would cost more calls than
 # they save memory
 _STEP_VALUES = 1 << 19
+# the values that a run's pending block may take (128 KB) whatever the
+# bases hold: a piece costs some hundred numpy calls however small it is,
+# so a run below it is not cut; from 2**16 on, a run over the whole file
+# at V = 65, W = 128 would peak beyond four V x W residuals (test_sim)
+RUN_ALLOWANCE = 1 << 14
+
+
+def _classes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's class and each class's first user, for `block` holding
+    user u's residuals at block[u]: users whose residuals agree bit for bit
+    share a class.  One sort of the users' residuals as opaque rows, then
+    a comparison of sorted neighbours a few users at a time: the copy each
+    step gathers stays within RUN_ALLOWANCE values, or one user's, so the
+    heap holds no second block beside the first."""
+    V = len(block)
+    rows = block.reshape(V, -1).view(np.dtype((np.void, block[0].nbytes))).ravel()
+    order = rows.argsort(kind="stable")
+    starts = np.ones(V, dtype=bool)
+    step = max(1, RUN_ALLOWANCE // block[0].size)
+    for lo in range(1, V, step):
+        pair = rows[order[lo - 1:lo + step]]
+        starts[lo:lo + step] = pair[1:] != pair[:-1]
+    cls = np.empty(V, dtype=np.int64)
+    cls[order] = starts.cumsum() - 1
+    return cls, order[starts]
 
 
 def _reduce(x: np.ndarray):

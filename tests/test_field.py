@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from basis_oracle import ColumnBasis
 from hypercast import (
@@ -26,7 +26,7 @@ from hypercast import (
     rank_mod,
 )
 from hypercast import field
-from hypercast.field import combine_mod, inv_mod_many
+from hypercast.field import combine_mod
 from hypercast.sim import SegmentStore, materialize_payloads
 
 
@@ -100,18 +100,6 @@ def test_inverse_round_trip():
         inv_mod(P)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, P - 1), min_size=1, max_size=40), st.integers(min_value=0))
-@example([1], 0)
-@example([P - 1], 1)
-@example([1, P - 1, 2], 1)
-def test_inv_mod_many_matches_one_pow_per_value(values, at):
-    assert inv_mod_many(values) == [pow(a, -1, P) for a in values]
-    with_zero = values[:at] + [0] + values[at:]
-    with pytest.raises(ZeroDivisionError):
-        inv_mod_many(with_zero)
-
-
 def test_combine_columns_hand_values():
     """SegmentStore.combine sums coefficient multiples of store columns."""
     topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1}})
@@ -157,6 +145,30 @@ def test_combine_mod_is_exact_at_its_bound(monkeypatch, blas_from):
             assert out.dtype == np.int64 and out.shape == (*lead, m.shape[1])
             assert out.tolist() == expected.tolist()
     assert combine_mod(np.full(n, P - 1), columns[:, :1]).tolist() == [n * (P - 1) ** 2 % P]
+
+
+@settings(max_examples=100, deadline=None)
+@given(picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       shape=st.tuples(st.integers(1, 3), st.integers(2, 4)), step=st.sampled_from([1, 2, 3, 1 << 19]))
+def test_classes_join_exactly_the_equal_residuals(picks, shape, step):
+    """User u's residual is one of four that differ in the first value, the
+    last value or both; users share a class iff their residuals agree, and
+    each class's first user is its smallest, however many users each
+    comparison takes."""
+    rng = np.random.default_rng(len(picks))
+    base = rng.integers(0, P, shape)
+    residuals = np.stack([base, base.copy(), base.copy(), base.copy()])
+    residuals[1].flat[-1] += 1
+    residuals[2].flat[0] += 1
+    residuals[3].flat[[0, -1]] += 1
+    block = residuals[picks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_STEP_VALUES", step * block[0].size)
+        cls, first = field._classes(block)
+    assert len(first) == len(set(picks))
+    for u, p in enumerate(picks):
+        assert first[cls[u]] == picks.index(p)
+        assert [cls[v] == cls[u] for v in range(len(picks))] == [q == p for q in picks]
 
 
 def test_rank_known_constructions():

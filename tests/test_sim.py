@@ -10,6 +10,7 @@ former per-user design.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import re
@@ -22,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 import hypercast.sim
 from basis_oracle import ColumnBasis
 from conftest import topologies
-from hypercast import StorageTopology
-from hypercast.field import P, UserBases, rank_mod
+from hypercast import StorageTopology, field
+from hypercast.field import P, RUN_ALLOWANCE, UserBases, rank_mod
 from hypercast.sim import (
     MAX_SIM_SEGMENTS,
     _draw_residues,
@@ -530,36 +531,50 @@ def test_a_payload_mismatch_before_a_span_failure_in_one_run():
     assert_refused_as_dict_basis(topo, run, run[4].coefficients)
 
 
-def count_pieces(topology, schedule, store=None):
-    """run_schedule's transcript and how many slots each piece of its runs
-    took, in order."""
-    pieces = []
+@contextlib.contextmanager
+def counted_pieces():
+    """While open, run_schedule's bases note how many slots each piece of
+    their runs took and in how many classes of users it went in, in
+    order, in the two lists it yields."""
+    pieces, classes = [], []
 
     class Counted(UserBases):
         __slots__ = ()
 
         def _eliminate(self, cols, at, block, *rest):
             pieces.append(len(block))
+            classes.append(block.shape[1])
             return super()._eliminate(cols, at, block, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypercast.sim, "UserBases", Counted)
+        yield pieces, classes
+
+
+def count_pieces(topology, schedule, store=None):
+    """run_schedule's transcript, how many slots each piece of its runs
+    took and in how many classes of users each piece went in."""
+    with counted_pieces() as (pieces, classes):
         t = run_schedule(topology, schedule, store)
-    return t, pieces
+    return t, pieces, classes
 
 
 def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
-    """Before any basis row exists the budget is one V x W residual, and a
-    broadcast over every segment fills it, so the first run goes in one
-    slot at a time until rows exist; it runs past its support size too."""
-    W = 12
+    """Before any basis row exists the budget is one V x W residual, less
+    than RUN_ALLOWANCE, and every broadcast of the first run spans every
+    segment, so its first piece takes RUN_ALLOWANCE // (V x W) slots,
+    fewer than the run, and the rest goes in later pieces; the run goes
+    past its support size too."""
+    W = 64
     topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: set(), 3: {1, 2},
-                               4: set(range(1, 7)), 5: {12}})
+                               4: set(range(1, W // 2 + 1)), 5: {W}})
     rng = random.Random(3)
     schedule = [Broadcast(1, tuple(rng.randrange(1, P) for _ in range(W))) for _ in range(W + 3)]
     schedule += [unit_broadcast(4, W, {2: 1, 5: 7}), unit_broadcast(4, W, {3: 1})]
-    t, pieces = count_pieces(topo, schedule)
-    assert pieces[0] == 1 and len(pieces) > 2
+    V = topo.num_users
+    assert V * W < RUN_ALLOWANCE < (W + 3) * V * W
+    t, pieces, _ = count_pieces(topo, schedule)
+    assert pieces[0] == RUN_ALLOWANCE // (V * W) and len(pieces) > 2
     assert sum(pieces) == len(schedule)
     check_hand_built_run(topo, schedule)
     assert t.complete
@@ -568,9 +583,10 @@ def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
 def test_a_payload_run_budget_counts_the_store():
     """Before any basis row exists, a payload run's budget holds the W + 1
     store and zero rows besides one residual of V x (W + L) values.  So
-    the first run, two broadcasts over every segment, goes in as one
-    piece, where one residual alone would hold one slot at a time; the
-    run matches the dict basis and decodes the store."""
+    without RUN_ALLOWANCE, which would hold the whole run by itself, the
+    first run, two broadcasts over every segment, goes in as one piece,
+    where one residual alone would hold one slot at a time; the run
+    matches the dict basis and decodes the store."""
     W = 12
     topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: set(), 3: {1, 2},
                                4: set(range(1, 7)), 5: {12}})
@@ -580,10 +596,89 @@ def test_a_payload_run_budget_counts_the_store():
     store = materialize_payloads(topo, seed=0)
     V, L = topo.num_users, store.length
     assert V * (W + L) < 2 * V * (W + L) <= (W + 1) * L + V * (W + L)
-    t, pieces = count_pieces(topo, schedule, store)
-    assert pieces == [2, 2]
-    assert [r.ranks for r in t.slots] == dict_basis_run(topo, schedule)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        t, pieces, _ = count_pieces(topo, schedule, store)
+        assert pieces == [2, 2]
+        assert [r.ranks for r in t.slots] == dict_basis_run(topo, schedule)[0]
+        check_hand_built_run(topo, schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3))
+def test_property_runs_cut_by_the_bases_budget_match_dict_basis(topo, seed, runs):
+    """Without RUN_ALLOWANCE a run is cut wherever its block would outgrow
+    what the bases hold plus one residual, as only larger runs are cut
+    with it: every piece still matches the dict bases, and a payload run
+    decodes the store."""
+    schedule = run_heavy_schedule(random.Random(seed), topo, runs, P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        t, pieces, _ = count_pieces(topo, schedule)
+        assert sum(pieces) == len(schedule)
+        assert_matches_dict_basis(topo, schedule)
+        paid = run_schedule(topo, schedule, materialize_payloads(topo, seed=3), completion=True)
+    assert paid.complete and paid.slots[:len(schedule)] == t.slots
+
+
+def test_users_with_equal_holdings_go_in_as_one_class():
+    """Users 2, 3 and 4 store the same segments, and user 1 stores every
+    segment, so no piece has as many classes as users; the run matches
+    the dict bases row for row and decodes the store."""
+    W = 8
+    topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: {1, 2}, 3: {1, 2}, 4: {1, 2},
+                               5: {3, 4, 5}, 6: {8}})
+    rng = random.Random(5)
+    schedule = [Broadcast(1, tuple(rng.randrange(P) for _ in range(W))) for _ in range(4)]
+    schedule += [unit_broadcast(5, W, {3: 1, 4: 2}), unit_broadcast(5, W, {5: 1})]
+    schedule += [Broadcast(1, tuple(rng.randrange(P) for _ in range(W))) for _ in range(4)]
+    t, pieces, classes = count_pieces(topo, schedule)
+    assert len(pieces) == 3 and max(classes) < topo.num_users
     check_hand_built_run(topo, schedule)
+    assert t.complete
+
+
+def test_an_off_payload_splits_a_class_and_decodes_as_each_user_alone():
+    """Users 2 and 3 store nothing, so their coefficient residuals agree
+    at every slot and the run goes in as two classes with the sender.  With
+    user 2's payload of slot 0 made off by one, their payload columns
+    differ and it goes in as three: only user 2's segment 1, the one its
+    row from slot 0 decodes, then differs from the store."""
+    topo = StorageTopology(3, {1: {1, 2, 3}, 2: set(), 3: set()})
+    schedule = [unit_broadcast(1, 3, {1: 1, 2: 1, 3: 1}), unit_broadcast(1, 3, {2: 1}),
+                unit_broadcast(1, 3, {3: 1})]
+    store = materialize_payloads(topo, seed=1)
+    t, pieces, classes = count_pieces(topo, schedule, store)
+    assert t.complete and pieces == [3] and classes == [2]
+    honest = UserBases.formed
+
+    def formed(self, users, vectors):
+        out = honest(self, users, vectors)
+        out[(vectors == 1).all(axis=1), list(users).index(1), 0] += 1  # user 2's of slot 0
+        out %= P
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, counted_pieces() as (pieces, classes):
+        mp.setattr(UserBases, "formed", formed)
+        with pytest.raises(PayloadMismatch) as caught:
+            run_schedule(topo, schedule, store)
+    assert pieces == [3] and classes == [3]
+    assert str(caught.value) == "decoded payloads differ from the store at (user, segment) (2, 1)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies(), copies=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3))
+def test_property_copied_users_match_dict_basis(topo, copies, seed, runs):
+    """Users added as copies of others share their classes: ranks, decode
+    order and every basis row as the dict bases, and a payload run that
+    decodes the store."""
+    V = topo.num_users
+    holdings = {v: set(topo.holding(v)) for v in topo.users}
+    for i, c in enumerate(copies):
+        holdings[V + 1 + i] = set(holdings[(c - 1) % V + 1])
+    topo = StorageTopology(topo.num_segments, holdings)
+    check_hand_built_run(topo, run_heavy_schedule(random.Random(seed), topo, runs, P))
 
 
 def whole_file_run(V, W, store=False):
@@ -638,13 +733,53 @@ def test_row_emptied_in_the_window_keeps_its_entries_beyond_it():
     assert run_schedule(topo, schedule).decoded[1] == frozenset({2})
 
 
+def first_hits(topology, schedule):
+    """For each piece of the run of `schedule` whose rows from before it
+    do not all fit its budget (the condition of `_eliminate`, recomputed
+    here), so that each joins at the slot that first hits it, those
+    slots: the first at which the row's owner makes a new row pivoted at
+    one of the row's entries in the piece."""
+    joins = []
+
+    class Traced(UserBases):
+        __slots__ = ()
+
+        def _eliminate(self, cols, at, block, cls, budget):
+            row, key, _ = self.entries
+            owner, coord = key >> self.shift, key & ((1 << self.shift) - 1)
+            inside = block[:, :, :cols.size + 1].any(axis=0)[cls[owner], at]
+            rank, before = self.rank.copy(), self.rows
+            out = super()._eliminate(cols, at, block, cls, budget)
+            if np.unique(row[inside]).size * (cols.size + 1) > budget:
+                # the new rows' ids go slot after slot and user after user
+                slot, user = np.diff([rank] + [r for r, _ in out], axis=0).nonzero()
+                made = dict(zip(zip(user.tolist(), self.pivot[before:self.rows].tolist()),
+                                slot.tolist()))
+                first = {}
+                for r, u, w in zip(*(x[inside].tolist() for x in (row, owner, coord))):
+                    if (u, w) in made:
+                        first[r] = min(first.get(r, len(out)), made[u, w])
+                joins.append(sorted(first.values()))
+            return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypercast.sim, "UserBases", Traced)
+        run_schedule(topology, schedule)
+    return joins
+
+
 def test_rows_held_from_their_first_hit_match_the_dict_basis():
-    """A row from before a run joins it at the slot that first hits it;
-    on this instance rows join at later slots of their runs too."""
+    """A row from before a run joins it at the slot that first hits it
+    where the run's rows from before it do not all fit its budget, as
+    here without RUN_ALLOWANCE; on this instance rows join at later
+    slots of their runs too."""
     topo = random_instance(8, 24, 0, 3, 3)
     schedule = list(dbqt_schedule(topo).schedule)
-    assert_matches_dict_basis(topo, schedule)
-    check_hand_built_run(topo, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        assert any(max(piece, default=0) > 0 for piece in first_hits(topo, schedule))
+        assert_matches_dict_basis(topo, schedule)
+        check_hand_built_run(topo, schedule)
 
 
 def test_coefficients_beyond_int64_and_negative_act_as_their_residues(tree_topology):
