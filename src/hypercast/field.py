@@ -138,9 +138,9 @@ class UserBases:
     (3, E) array of (row id, key, value) over all users, where the key
     packs the owner and the coordinate as owner << shift | coordinate.
     A row without entries is a unit: its owner has decoded the pivot.
-    ``covered[u]`` marks u's stored coordinates and pivots, ``rank[u]``
-    counts them, and ``units[u]`` lists u's unit pivots in the order
-    they appeared.
+    ``covered[u]`` marks u's stored coordinates and pivots, which count
+    its rank, and ``units[u]`` lists u's unit pivots in the order they
+    appeared.
 
     With ``columns`` (W x L, one payload per coordinate) each row also
     carries a payload, the image of its vector, and ``source[u, w]``
@@ -148,18 +148,15 @@ class UserBases:
     the pivot's row, or a zero row.
     """
 
-    __slots__ = ("covered", "rank", "units", "shift", "owner", "pivot", "rows", "entries",
-                 "payloads", "source")
+    __slots__ = ("covered", "units", "shift", "pivot", "rows", "entries", "payloads", "source")
 
     def __init__(self, stored: np.ndarray, columns: np.ndarray | None = None):
         V, W = stored.shape
         self.covered = stored.copy()
-        self.rank = stored.sum(axis=1)
         self.units: list[list[int]] = [[] for _ in range(V)]
         self.shift = max(W - 1, 0).bit_length()
         # the ranks can grow by V * W - sum(rank) in all, one row each
-        capacity = V * W - int(self.rank.sum())
-        self.owner = np.empty(capacity, dtype=np.int64)
+        capacity = V * W - int(stored.sum())
         self.pivot = np.empty(capacity, dtype=np.int64)
         self.rows = 0
         self.entries = np.empty((3, 0), dtype=np.int64)
@@ -171,26 +168,26 @@ class UserBases:
             self.payloads[W] = 0
             self.source = np.where(stored, np.arange(W), W)
 
-    def formed(self, users, vectors: np.ndarray) -> np.ndarray:
-        """The payload that each of `users` forms for each row of `vectors`
-        (k x W ints in [0, P)) from its sources, as a k x len(users) x L
-        array: the vector's payload for each user that spans it.  The
-        sources are gathered and combined a chunk of users at a time, each
-        taking at most what the pending block of the vectors over their
-        support takes, or _STEP_VALUES if that is more."""
+    def formed(self, vectors: np.ndarray) -> np.ndarray:
+        """The payload that each user forms for each row of `vectors`
+        (k x W ints in [0, P)) from its sources, as a k x V x L array: the
+        vector's payload for each user that spans it.  The sources are
+        gathered and combined a chunk of users at a time, each taking at
+        most what the pending block of the vectors over their support
+        takes, or _STEP_VALUES if that is more."""
         cols = vectors.any(axis=0).nonzero()[0]
-        k, L = len(vectors), self.payloads.shape[1]
+        V, k, L = len(self.covered), len(vectors), self.payloads.shape[1]
         coefficients = vectors[:, cols]
-        out = np.empty((k, len(users), L), dtype=np.int64)
+        out = np.empty((k, V, L), dtype=np.int64)
         # a user takes its sources and its k x L payloads, and in combine_mod
         # at most a copy of its sources and two k x L temporaries
-        chunk = max(k * len(users) * (cols.size + L), _STEP_VALUES)
+        chunk = max(k * V * (cols.size + L), _STEP_VALUES)
         step = max(1, chunk // ((2 * cols.size + 3 * k) * L))
-        for i in range(0, len(users), step):
-            part = users[i:i + step]
-            sources = self.payloads[self.source[np.ix_(part, cols)].T]  # column x user x L
-            sources = sources.reshape(cols.size, len(part) * L)
-            out[:, i:i + step] = combine_mod(coefficients, sources).reshape(k, len(part), L)
+        for i in range(0, V, step):
+            sources = self.payloads[self.source[i:i + step, cols].T]  # column x user x L
+            part = sources.shape[1]
+            sources = sources.reshape(cols.size, part * L)
+            out[:, i:i + step] = combine_mod(coefficients, sources).reshape(k, part, L)
         return out
 
     def deliver(self, sender: int, vectors: np.ndarray, images: np.ndarray | None = None):
@@ -198,25 +195,25 @@ class UserBases:
         that user `sender` sends one after another, whose payloads must
         equal `images` (k x L) in payload mode.
 
-        The sender gains no row from its own broadcasts, so the checks of
-        every slot come first, against its basis at the start of the run:
-        the first slot whose coefficients leave the sender's span, or whose
-        payload is not its image, raises Refused, and the slots from it on
-        are not delivered.  One grouped sum gives every user's residual of
-        every slot over the run's columns (the broadcasts' support and the
-        entries of the rows pivoted there), and `_eliminate` takes them in,
-        once for each class of users whose residuals agree bit for bit.
+        One grouped sum gives every user's residual of every slot over the
+        run's columns (the broadcasts' support and the entries of the rows
+        pivoted there), against its basis at the start of the run.  In
+        payload mode each residual carries L payload values as columns
+        after the coefficients, the image less what the user forms, so one
+        rank-1 step per slot updates both.  The sender gains no row from
+        its own broadcasts, so its residuals are the checks: the first slot
+        where the sender's is not zero raises Refused, with `payload` if its
+        coefficients are zero, and the slots from it on are not delivered.
+        `_eliminate` then takes the residuals in, once for each class of
+        users whose residuals agree bit for bit.
 
-        In payload mode each user's residual of a slot carries its L
-        payload values as columns after the coefficients, so one rank-1
-        step per slot updates both.  A run's budget is the larger of
-        RUN_ALLOWANCE values and what the bases hold (their entries and,
-        with payloads, the W + 1 store and zero rows and every row's L
-        values) plus one residual of V x W coefficients and V x L payload
-        values.  A run is cut where its pending block, users by slots by
-        its columns plus L, would outgrow it, and the pieces go in one
-        after another; the rows from before a piece are held from its
-        start where they fit the same budget.
+        A run's budget is the larger of RUN_ALLOWANCE values and what the
+        bases hold (their entries and, with payloads, the W + 1 store and
+        zero rows and every row's L values) plus one residual of V x W
+        coefficients and V x L payload values.  A run is cut where its
+        pending block, users by slots by its columns plus L, would outgrow
+        it, and the pieces go in one after another; the rows from before a
+        piece are held from its start where they fit the same budget.
 
         Returns, per slot, every user's rank after it and the coordinates
         of the units it made, one per user that decoded each.  A user's
@@ -267,24 +264,21 @@ class UserBases:
             spent.swapaxes(0, 1)[:, :, :-1][:, self.covered[:, cols]] = 0
             np.negative(spent, out=spent)
             if images is not None:  # formed before the block exists, to keep the peak low
-                formed = self.formed(np.arange(V), run)
+                formed = self.formed(run)
             # user by user, each residual's coefficients, then its L payload values
             block = np.empty((V, k, width + L), dtype=np.int64)
-            residuals = block[:, :, :width]
-            residuals[...] = spent
+            block[:, :, :width] = spent
             del spent
-            residuals %= P
-            refused = wrong = residuals[sender].any(axis=1)
-            if images is not None:
-                refused = wrong | (formed[:, sender] != images[start:start + k]).any(axis=1)
-            if np.count_nonzero(refused):
-                j = int(refused.argmax())
-                raise Refused(start + j, not wrong[j])
-            if images is not None:  # what each user has left of the sender's payloads
-                np.subtract(formed[:, sender] + P, formed.swapaxes(0, 1), out=block[:, :, width:])
+            block[:, :, :width] %= P
+            if images is not None:  # what each user has left of the store's images
+                np.subtract(images[start:start + k] + P, formed.swapaxes(0, 1), out=block[:, :, width:])
                 del formed
                 _reduce(block[:, :, width:])
-            del residuals  # a view, which would keep the whole block alive
+            # the sender's residual is zero iff it spans the slot and forms its image
+            refused = block[sender].any(axis=1)
+            if np.count_nonzero(refused):
+                j = int(refused.argmax())
+                raise Refused(start + j, not block[sender, j, :width].any())
             # users whose residuals agree bit for bit take the same steps, so
             # each class of them goes in once
             cls, first = _classes(block)
@@ -320,13 +314,16 @@ class UserBases:
         paid = self.payloads is not None
         row, key, value = self.entries
         # the candidates: entries where their owner has a residual; `of`
-        # gives each its row among the candidate rows, in ascending row id
+        # gives each its row among the candidate rows, in ascending row id,
+        # and their keys give each candidate row's owner
         inside = block[:, :, :width].any(axis=0)[cls[key >> shift], at]
         cand = inside.nonzero()[0]
         flag = np.zeros(self.rows, dtype=bool)
         flag[row[cand]] = True
         cand_rows = flag.nonzero()[0]
         of = cand_rows.searchsorted(row[cand])
+        cand_owner = np.empty(cand_rows.size, dtype=np.int64)
+        cand_owner[of] = key[cand] >> shift
         # `taken` lists the held rows, as candidate rows, in the order they joined
         if cand_rows.size * width <= budget:  # all fit: each is held from the start
             taken = np.arange(cand_rows.size)
@@ -337,8 +334,7 @@ class UserBases:
             taken = of[:0]
             held = np.zeros((0, width), dtype=np.int64)
             wait_of, wait_at, wait_value, wait_class = of, at[cand], value[cand], cls[key[cand] >> shift]
-        holder = cls[self.owner[cand_rows[taken]]]  # each held row's owner's class
-        held_at = W + 1 + cand_rows[taken]  # each held row's payload
+        holder = cls[cand_owner[taken]]  # each held row's owner's class
         held_index = np.arange(len(held))
         last_hit = np.full(cand_rows.size, -1)  # the last slot that hit each candidate row
         everyone = np.arange(C)
@@ -387,8 +383,7 @@ class UserBases:
                     wait_of[wait], wait_at[wait], wait_value[wait], wait_class[wait])
                 held = np.concatenate((held, rows))
                 taken = np.concatenate((taken, first))
-                holder = np.concatenate((holder, cls[self.owner[cand_rows[first]]]))
-                held_at = np.concatenate((held_at, W + 1 + cand_rows[first]))
+                holder = np.concatenate((holder, cls[cand_owner[first]]))
                 held_index = np.arange(len(held))
             b = held[held_index, q[holder]]
             hits = b.nonzero()[0]
@@ -400,8 +395,8 @@ class UserBases:
                 rows += held[hits]
                 _reduce(rows)
                 held[hits] = rows
-                if paid:  # a held row's payload stays in place
-                    at_rows = held_at[hits]
+                if paid:  # a held row's payload stays in place, at W + 1 + its id
+                    at_rows = W + 1 + cand_rows[taken[hits]]
                     rows = new[owner, width:]
                     rows *= b
                     rows += self.payloads[at_rows]
@@ -418,7 +413,7 @@ class UserBases:
         order = taken.argsort()
         taken = taken[order]
         held, old, held_hit_at = held[order], cand_rows[taken], last_hit[taken]
-        holder = self.owner[old]
+        holder = cand_owner[taken]
         # the new rows, slot after slot and user after user, as their ids go;
         # each user's are its class's
         pivot, hit_at = pivot[:, cls], hit_at[:, cls]
@@ -428,11 +423,9 @@ class UserBases:
         ids = self.rows + np.arange(slot.size)
         self.rows += slot.size
         coordinate = cols[pivot[slot, user]]
-        self.owner[ids] = user
         self.pivot[ids] = coordinate
+        ranks = self.covered.sum(axis=1) + made.cumsum(axis=0)
         self.covered[user, coordinate] = True
-        ranks = self.rank + made.cumsum(axis=0)
-        self.rank = ranks[-1]
         out = [(tuple(r), []) for r in ranks.tolist()]
         if paid:
             self.payloads[W + 1 + ids] = new[:, width:]

@@ -15,6 +15,13 @@ from typing import Iterable
 __all__ = ["Edge", "Cut", "MinCut", "Hypergraph"]
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; floats and strings are refused, not coerced
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _edge_key(vset: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(vset))
 
@@ -58,7 +65,7 @@ class Hypergraph:
     __slots__ = ("_vertices", "_weights", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[Iterable[int], int]] = ()):
-        vs = frozenset(int(v) for v in vertices)
+        vs = frozenset(_integer(v, "vertex id") for v in vertices)
         if not vs:
             raise ValueError("hypergraph needs at least one vertex")
         if any(v < 1 for v in vs):

@@ -141,7 +141,7 @@ def run_schedule(
     left = [len(segs) for segs in placement.values()]  # per edge, segments not known by all
     open_edges = len(left)
     bases = UserBases(stored, None if store is None else store.matrix.T)
-    initial_ranks = tuple(bases.rank.tolist())
+    initial_ranks = tuple(stored.sum(axis=1).tolist())
     records: list[SlotRecord] = []
     run: list[tuple] = []  # the coefficients of the current run, not yet delivered
 
@@ -211,7 +211,7 @@ def run_schedule(
     decoded = tuple(
         topology.holding(v).union(w + 1 for w in bases.units[v - 1]) for v in topology.users
     )
-    return Transcript(V, W, initial_ranks, records, bool((bases.rank == W).all()), decoded)
+    return Transcript(V, W, initial_ranks, records, bool(bases.covered.all()), decoded)
 
 
 def _check_segment_limit(W: int):
@@ -240,6 +240,8 @@ class SegmentStore:
 
     def __init__(self, topology: StorageTopology, matrix: np.ndarray):
         W = topology.num_segments
+        if not np.issubdtype(matrix.dtype, np.integer):
+            raise ValueError(f"payload matrix must hold integers, got dtype {matrix.dtype}")
         if matrix.ndim != 2 or matrix.shape[1] != W:
             raise ValueError("matrix must have one column per segment")
         if matrix.shape[0] <= W:

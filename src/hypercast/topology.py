@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _integer
 
 __all__ = ["StorageTopology"]
-
-
-def _integer(value, what: str) -> int:
-    # bool is an int subclass; floats and strings are refused, not coerced
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 class StorageTopology:

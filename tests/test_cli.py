@@ -274,6 +274,22 @@ def test_dbqt_run_plan_and_transcript_bytes_are_pinned(capsys, tmp_path):
     ]
 
 
+def test_dbqt_run_where_rows_join_at_their_first_hit_is_pinned(capsys, tmp_path):
+    """At 40 users and 512 segments most pieces of the dbqt run hold their
+    earlier rows from the first slot that hits each, not from the start,
+    with the default run allowance."""
+    path, transcript = tmp_path / "inst.json", tmp_path / "tr.json"
+    run_cli(capsys, "gen", "--users", "40", "--segments", "512", "--seed", "1", "--out", str(path))
+    code, out, _ = run_cli(
+        capsys, "run", "--in", str(path), "--strategy", "dbqt", "--transcript", str(transcript)
+    )
+    assert code == 0
+    assert [sha256(out), sha256(transcript.read_text())] == [
+        "1baafa7c021336a2898567b3e3dcbcf3e0432ecef2814c2bd250961eb1b76df2",
+        "c19f0186cdf1da568008a7d59d7eb2b8d3399de2b24b6f111c9ce38e58b54c1d",
+    ]
+
+
 def test_analyze_tree_fixture(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--in", str(FIXTURES / "tree-instance.json"))
     assert code == 0

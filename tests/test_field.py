@@ -110,6 +110,16 @@ def test_combine_columns_hand_values():
     assert store.combine(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, bool, object])
+def test_store_refuses_a_matrix_that_does_not_hold_integers(dtype):
+    """A float matrix is refused, not truncated for the rank check and then
+    left to fail in combine, and so are bool and object ones."""
+    topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1}})
+    matrix = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]]).astype(dtype)
+    with pytest.raises(ValueError, match="payload matrix must hold integers"):
+        SegmentStore(topo, matrix)
+
+
 def test_combine_sparse_matches_dense():
     rng = random.Random(7)
     store = materialize_payloads(StorageTopology(4, {1: {1, 2}, 2: {3, 4}}), seed=7)
@@ -163,7 +173,7 @@ def test_classes_join_exactly_the_equal_residuals(picks, shape, step):
     residuals[3].flat[[0, -1]] += 1
     block = residuals[picks]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_STEP_VALUES", step * block[0].size)
+        mp.setattr(field, "RUN_ALLOWANCE", step * block[0].size)
         cls, first = field._classes(block)
     assert len(first) == len(set(picks))
     for u, p in enumerate(picks):

@@ -88,6 +88,14 @@ def test_constructor_rejects_bad_input():
         Hypergraph([0, 1], [])
 
 
+@pytest.mark.parametrize("vertex", [1.9, 2.0, "2", True])
+def test_constructor_refuses_non_integer_vertex_ids(vertex):
+    """Vertex ids are refused, not coerced by int(), as StorageTopology
+    refuses its ids."""
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        Hypergraph([vertex, 3], [])
+
+
 def test_edges_sorted_deterministically():
     h = Hypergraph(range(1, 7), [({4, 5}, 1), ({1, 4}, 2), ({3, 5, 6}, 1), ({2, 3}, 1)])
     assert [e.key for e in h.edges] == [(1, 4), (2, 3), (3, 5, 6), (4, 5)]

@@ -311,13 +311,15 @@ def unit_broadcast(sender, W, entries):
 
 
 def basis_rows(bases):
-    """Every basis row of a UserBases as {(user, pivot): {coordinate: value}}."""
-    rows = {(u, w): {} for u, w in zip(bases.owner[:bases.rows].tolist(),
-                                       bases.pivot[:bases.rows].tolist())}
+    """Every basis row of a UserBases as {(user, pivot): {coordinate: value}}:
+    a row's owner is in its entries' keys, or, for a row without entries,
+    the user whose units list its pivot."""
+    rows = {(u, w): {} for u, units in enumerate(bases.units) for w in units}
     row, key, value = bases.entries.tolist()
     for r, k, x in zip(row, key, value):
-        u, w = int(bases.owner[r]), int(bases.pivot[r])
-        rows[u, w][k & ((1 << bases.shift) - 1)] = x
+        owner, coordinate = k >> bases.shift, k & ((1 << bases.shift) - 1)
+        rows.setdefault((owner, int(bases.pivot[r])), {})[coordinate] = x
+    assert len(rows) == bases.rows
     return rows
 
 
@@ -652,9 +654,9 @@ def test_an_off_payload_splits_a_class_and_decodes_as_each_user_alone():
     assert t.complete and pieces == [3] and classes == [2]
     honest = UserBases.formed
 
-    def formed(self, users, vectors):
-        out = honest(self, users, vectors)
-        out[(vectors == 1).all(axis=1), list(users).index(1), 0] += 1  # user 2's of slot 0
+    def formed(self, vectors):
+        out = honest(self, vectors)
+        out[(vectors == 1).all(axis=1), 1, 0] += 1  # user 2's of slot 0
         out %= P
         return out
 
@@ -748,7 +750,7 @@ def first_hits(topology, schedule):
             row, key, _ = self.entries
             owner, coord = key >> self.shift, key & ((1 << self.shift) - 1)
             inside = block[:, :, :cols.size + 1].any(axis=0)[cls[owner], at]
-            rank, before = self.rank.copy(), self.rows
+            rank, before = self.covered.sum(axis=1), self.rows
             out = super()._eliminate(cols, at, block, cls, budget)
             if np.unique(row[inside]).size * (cols.size + 1) > budget:
                 # the new rows' ids go slot after slot and user after user
@@ -896,8 +898,8 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
     # every user's formed payload, the sender's among them, uses flipped coefficients
     honest_formed = UserBases.formed
 
-    def formed(self, users, vectors):
-        return honest_formed(self, users, np.array([flipped(v) for v in vectors]))
+    def formed(self, vectors):
+        return honest_formed(self, np.array([flipped(v) for v in vectors]))
 
     monkeypatch.setattr(UserBases, "formed", formed)
     with pytest.raises(PayloadMismatch, match="slot 0"):
@@ -909,13 +911,12 @@ def test_flipped_payload_coefficient_is_caught_per_slot_and_at_decode(
     first = np.array(schedule[0].coefficients, dtype=np.int64)
     slipped = []
 
-    def formed(self, users, vectors):
-        out = honest_formed(self, users, vectors)
-        users = list(users)
-        if 1 in users and not slipped:  # user 2 takes in the flipped combination at slot 0
+    def formed(self, vectors):
+        out = honest_formed(self, vectors)
+        if not slipped:  # user 2 takes in the flipped combination at slot 0
             assert np.array_equal(vectors[0], first)
-            out[0, users.index(1)] += store.combine(first) - store.combine(flipped(first))
-            out[0, users.index(1)] %= P
+            out[0, 1] += store.combine(first) - store.combine(flipped(first))
+            out[0, 1] %= P
             slipped.append(1)
         return out
 

@@ -11,16 +11,20 @@ at most 3 users, plans it with `dbqt_schedule` and times one
 `run_schedule` of the plan: at the coefficient level, or with the store
 `materialize_payloads(topology, 0)` (drawn before the clock starts) when
 `store` is true, the payload check of `run --payload-check`.  Every run
-is a fresh process, so its peak RSS (`ru_maxrss`) is that of one
-simulation plus the interpreter and numpy; each point runs REPEAT times
+is a fresh process with the BLAS and OpenMP pools at one thread, as in
+perfbench/run.py, so its peak RSS (`ru_maxrss`) is that of one
+simulation plus the interpreter and numpy.  A second, untimed
+`run_schedule` of the same plan then runs under tracemalloc, whose peak
+follows only the simulation's live data.  Each point runs REPEAT times
 per source, the sources alternating which goes first.  The report keeps
 every run and, per source and point, the median time and the largest
-peak.
+peaks.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -32,9 +36,11 @@ POINTS = (
     (250, 1000, False), (12, 64, True), (40, 512, True),
 )
 REPEAT = 3
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 CHILD = """
-import json, resource, sys, time
+import json, resource, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 from hypercast.dbqt import dbqt_schedule
 from hypercast.generators import random_instance
@@ -46,14 +52,20 @@ store = materialize_payloads(topology, 0) if store else None
 start = time.perf_counter()
 transcript = run_schedule(topology, schedule, store)
 seconds = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tracemalloc.start()
+run_schedule(topology, schedule, store)
+traced = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
 print(json.dumps({"simulate_s": seconds, "slots": len(schedule), "complete": transcript.complete,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "peak_rss_mb": rss, "traced_peak_mb": traced}))
 """
 
 
 def run_point(src: str, users: int, segments: int, store: bool) -> dict:
+    env = {**os.environ, **dict.fromkeys(THREAD_VARIABLES, "1")}
     proc = subprocess.run([sys.executable, "-c", CHILD, src, str(users), str(segments), str(store)],
-                          stdout=subprocess.PIPE, text=True, check=True)
+                          stdout=subprocess.PIPE, text=True, check=True, env=env)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -83,6 +95,7 @@ def main() -> int:
             summary[src][f"{users}x{segments}" + ("+store" if store else "")] = {
                 "simulate_s_median": round(statistics.median(r["simulate_s"] for r in mine), 3),
                 "peak_rss_mb_max": round(max(r["peak_rss_mb"] for r in mine), 1),
+                "traced_peak_mb_max": round(max(r["traced_peak_mb"] for r in mine), 1),
                 "slots": mine[0]["slots"],
                 "complete": all(r["complete"] for r in mine),
             }
