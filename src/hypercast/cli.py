@@ -27,13 +27,7 @@ from .general import (
     run_experiment,
 )
 from .generators import RNG_ALGORITHM, random_instance
-from .sim import (
-    check_payload_rows,
-    check_sim_cells,
-    materialize_payloads,
-    naive_schedule,
-    run_schedule,
-)
+from .sim import check_limits, materialize_payloads, naive_schedule, run_schedule
 
 __all__ = ["main", "main_script"]
 
@@ -146,9 +140,8 @@ def cmd_run(args) -> int:
             f"(got --strategy {args.strategy})"
         )
     topology, _metadata = read_instance(args.infile)
-    check_sim_cells(topology)
-    if args.payload_check:
-        check_payload_rows(topology)
+    L = topology.store_length if args.payload_check else None
+    check_limits(topology.num_users, topology.num_segments, map(topology.holding, topology.users), L)
     h, _placement, _leftovers = topology.to_hypergraph()
     has_cut = h.num_vertices >= 2 and bool(h.edges)
     plan_doc = None
@@ -163,10 +156,10 @@ def cmd_run(args) -> int:
         plan_doc = plan_document(plan)
     elif args.strategy == "naive":
         schedule = naive_schedule(topology)
+    else:
+        schedule = dbqt_general(topology)
     store = materialize_payloads(topology, seed=0) if args.payload_check else None
     general = args.strategy == "dbqt-general"
-    if general:
-        schedule = dbqt_general(topology)
     transcript = run_schedule(topology, schedule, store, completion=general)
     if not transcript.complete:
         raise ValueError("schedule did not complete decoding for every user")

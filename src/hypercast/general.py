@@ -17,7 +17,7 @@ from typing import Iterator
 from .dbqt import phase_schedule, plan_phases
 from .generators import check_instance_args, derive_seed, random_instance
 from .hypergraph import Edge, Hypergraph
-from .sim import Broadcast, run_schedule
+from .sim import Broadcast, check_limits, run_schedule
 from .topology import StorageTopology
 
 __all__ = [
@@ -100,6 +100,7 @@ class ExperimentConfig:
         for V in self.users_list:
             for W in self.segments_list:
                 check_instance_args(V, W, self.extra_edges, self.max_edge_size)
+                check_limits(V, W)
 
 
 @dataclass(frozen=True)

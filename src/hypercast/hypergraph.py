@@ -36,9 +36,9 @@ class Edge:
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 2:
             raise ValueError(f"edge needs at least 2 vertices, got {sorted(vs)}")
-        if any(not isinstance(v, int) or v < 1 for v in vs):
+        if any(_integer(v, "vertex id") < 1 for v in vs):
             raise ValueError("vertex ids must be positive integers")
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if _integer(self.weight, "edge weight") < 1:
             raise ValueError(f"edge weight must be a positive integer, got {self.weight!r}")
 
     @property
@@ -73,11 +73,9 @@ class Hypergraph:
         weights: dict[frozenset[int], int] = {}
         for vset, w in edges:
             eset = frozenset(vset)
-            if not eset <= vs:
+            if not all(_integer(v, "vertex id") in vs for v in eset):
                 raise ValueError(f"edge {sorted(eset)} uses unknown vertices")
-            if len(eset) < 2:
-                raise ValueError(f"edge needs at least 2 vertices, got {sorted(eset)}")
-            if w < 1:
+            if _integer(w, "edge weight") < 1:
                 raise ValueError(f"edge weight must be positive, got {w}")
             weights[eset] = weights.get(eset, 0) + w
         self._vertices = vs

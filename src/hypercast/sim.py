@@ -61,8 +61,7 @@ __all__ = [
     "run_schedule",
     "uncoded_broadcast",
     "naive_schedule",
-    "check_sim_cells",
-    "check_payload_rows",
+    "check_limits",
     "materialize_payloads",
     "verify_payload_run",
 ]
@@ -127,10 +126,11 @@ def run_schedule(
     broadcast uncoded, in ascending order, so a segment every user
     stores is never sent.  Each record counts the edges of
     `topology.to_hypergraph()` still carrying a segment not every user
-    has decoded.
+    has decoded.  A run over `check_limits` is refused before anything
+    is built.
     """
     V, W = topology.num_users, topology.num_segments
-    _check_segment_limit(W)
+    check_limits(V, W, map(topology.holding, topology.users), None if store is None else store.length)
     stored = np.zeros((V, W), dtype=bool)
     for v in topology.users:
         stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
@@ -148,9 +148,16 @@ def run_schedule(
     def deliver(sender: int):
         """Deliver the run: the broadcasts of `sender` since the last run."""
         nonlocal open_edges
-        try:
-            vectors = np.array(run, dtype=np.int64)
-        except OverflowError:  # a coefficient beyond int64: reduce it as a Python int
+        vectors = np.array(run)
+        if vectors.dtype != np.int64:  # floats, strings or ints beyond int64: value by value
+            whole = [all(isinstance(c, (int, np.integer)) for c in cs) for cs in run]
+            if not all(whole):  # the slots before the first that is not go in, then it is refused
+                j = whole.index(False)
+                i, bad = len(records) + j, run[j]
+                del run[j:]
+                if run:
+                    deliver(sender)
+                raise ValueError(f"slot {i}: coefficients {bad!r} are not all integers")
             vectors = np.array([[int(c) % P for c in cs] for cs in run], dtype=np.int64)
         vectors %= P
         first = len(records)
@@ -181,7 +188,9 @@ def run_schedule(
         for b in broadcasts:
             i = len(records) + len(run)
             problem = None
-            if not 1 <= b.sender <= V:
+            if isinstance(b.sender, bool) or not isinstance(b.sender, int):
+                problem = f"slot {i}: sender {b.sender!r} is not an integer"
+            elif not 1 <= b.sender <= V:
                 problem = f"slot {i}: sender {b.sender} outside 1..{V}"
             elif len(b.coefficients) != W:
                 problem = f"slot {i}: {len(b.coefficients)} coefficients for {W} segments"
@@ -212,11 +221,6 @@ def run_schedule(
         topology.holding(v).union(w + 1 for w in bases.units[v - 1]) for v in topology.users
     )
     return Transcript(V, W, initial_ranks, records, bool(bases.covered.all()), decoded)
-
-
-def _check_segment_limit(W: int):
-    if W > MAX_SIM_SEGMENTS:
-        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
 
 
 def uncoded_broadcast(topology: StorageTopology, w: int) -> Broadcast:
@@ -259,25 +263,30 @@ class SegmentStore:
         return combine_mod(v[..., cols], self.matrix[:, cols].T)
 
 
-def check_sim_cells(topology: StorageTopology):
-    """Refuse a run whose users times segments exceed MAX_SIM_CELLS: each
-    slot works on dense blocks of the users by the run's segments, so time
-    and memory grow with V x W.  Reads nothing but the two counts."""
-    V, W = topology.num_users, topology.num_segments
+def check_limits(num_users: int, num_segments: int, holdings=(), payload_length=None):
+    """Refuse, from sizes alone, what the simulator does not take, in this
+    order: more than MAX_SIM_SEGMENTS segments; more than MAX_SIM_CELLS
+    users times segments (each slot works on dense blocks of users by
+    segments); and with a payload length L, a store of more entries than
+    the largest default one, or more than MAX_PAYLOAD_ROW_VALUES payload
+    values on R = V * W - sum |H_v| basis rows, H_v the given holdings."""
+    V, W = num_users, num_segments
+    if W > MAX_SIM_SEGMENTS:
+        raise ValueError(f"simulator supports at most {MAX_SIM_SEGMENTS} segments, got {W}")
     if V * W > MAX_SIM_CELLS:
         raise ValueError(
             f"a run here simulates {V} users by {W} segments, {V * W} in all; "
             f"the simulator takes at most {MAX_SIM_CELLS} users times segments"
         )
-
-
-def check_payload_rows(topology: StorageTopology):
-    """Refuse a payload run whose basis rows can carry more than
-    MAX_PAYLOAD_ROW_VALUES payload values: up to R = V * W - sum |H_v|
-    rows of L values each.  Reads nothing but the holdings' sizes."""
-    W = topology.num_segments
-    L = topology.payload_length if topology.payload_length is not None else W + 1
-    R = topology.num_users * W - sum(len(topology.holding(v)) for v in topology.users)
+    if payload_length is None:
+        return
+    L = payload_length
+    if L * W > _MAX_STORE_ENTRIES:
+        raise ValueError(
+            f"payload_length {L} over {W} segments needs {L * W} payload entries; "
+            f"the simulator takes at most {_MAX_STORE_ENTRIES}"
+        )
+    R = V * W - sum(map(len, holdings))
     if R * L > MAX_PAYLOAD_ROW_VALUES:
         raise ValueError(
             f"a payload check here carries up to {R} basis rows of {L} payload values, "
@@ -287,16 +296,10 @@ def check_payload_rows(topology: StorageTopology):
 
 def materialize_payloads(topology: StorageTopology, seed: int) -> SegmentStore:
     """Draw random payload columns, re-sampling until independent.  An
-    instance with more segments than the simulator takes, or a store
-    larger than the largest default one it takes, is refused first."""
-    W = topology.num_segments
-    _check_segment_limit(W)
-    L = topology.payload_length if topology.payload_length is not None else W + 1
-    if L * W > _MAX_STORE_ENTRIES:
-        raise ValueError(
-            f"payload_length {L} over {W} segments needs {L * W} payload entries; "
-            f"the simulator takes at most {_MAX_STORE_ENTRIES}"
-        )
+    instance whose payload run the simulator does not take
+    (`check_limits`) is refused first."""
+    W, L = topology.num_segments, topology.store_length
+    check_limits(topology.num_users, W, map(topology.holding, topology.users), L)
     rng = random.Random(seed)
     for _ in range(16):
         matrix = _draw_residues(rng, L * W).reshape(L, W)

@@ -72,6 +72,11 @@ class StorageTopology:
         return self._payload_length
 
     @property
+    def store_length(self) -> int:
+        """The length L of each segment's payload: as declared, or W + 1."""
+        return self._payload_length or self._num_segments + 1
+
+    @property
     def users(self) -> range:
         return range(1, self.num_users + 1)
 

@@ -11,6 +11,7 @@ import types
 import pytest
 
 import hypercast.cli
+import hypercast.formats
 import hypercast.general
 import hypercast.generators
 import hypercast.sim
@@ -427,10 +428,12 @@ def test_unheld_segment_is_refused_before_per_segment_work(capsys, tmp_path):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
+@pytest.mark.parametrize("strategy", ["dbqt", "naive", "dbqt-general"])
 def test_payload_check_refuses_segment_limit_before_drawing(
     capsys, monkeypatch, tmp_path, strategy
 ):
+    """Refused before any plan too: dbqt's planner would refuse this model
+    itself, as every segment is held by one user or by everyone."""
     def reached(*_args):
         raise AssertionError("payloads drawn for an instance the simulator refuses")
 
@@ -460,20 +463,6 @@ def test_payload_check_refuses_segment_limit_before_general_plans(
     )
     assert code == 2 and out == ""
     assert f"simulator supports at most {W - 1} segments, got {W}" in err
-
-
-def test_payload_check_plans_dbqt_before_the_segment_limit(capsys, tmp_path):
-    """Only the payload-row refusal comes before planning: a model that is
-    no quasi-tree, over the segment limit, is refused by the planner."""
-    W = hypercast.sim.MAX_SIM_SEGMENTS + 1
-    # segments 2 and 3 on users {2, 3} and {1, 3}, the rest on {1, 2}: a cycle
-    rest = range(4, W + 1)
-    path = write_doc(tmp_path, 3, W, {1: {1, 3, *rest}, 2: {1, 2, *rest}, 3: {2, 3}})
-    code, out, err = run_cli(
-        capsys, "run", "--in", str(path), "--strategy", "dbqt", "--payload-check"
-    )
-    assert code == 2 and out == ""
-    assert "rerun with --strategy dbqt-general" in err and "segments" not in err
 
 
 @pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])
@@ -545,8 +534,67 @@ def test_run_refuses_too_many_users_times_segments_before_planning(
     assert f"{V} users by {W} segments, {V * W} in all" in err
     assert f"at most {hypercast.sim.MAX_SIM_CELLS} users times segments" in err
     assert time.perf_counter() - start < 1.0
-    at_limit = StorageTopology(W, {1: set(range(1, W + 1)), **{v: set() for v in range(2, V)}})
-    hypercast.sim.check_sim_cells(at_limit)
+    hypercast.sim.check_limits(V - 1, W)
+
+
+W_MAX = hypercast.sim.MAX_SIM_SEGMENTS
+# (users, segments, payload_length, words of the refusal) just over each
+# limit, checked in this order; user 1 holds every segment, the rest none
+OVER_LIMIT = {
+    "segments": (2, W_MAX + 1, None, f"at most {W_MAX} segments, got {W_MAX + 1}"),
+    "cells": (hypercast.sim.MAX_SIM_CELLS // W_MAX + 1, W_MAX, None, "users times segments"),
+    "store": (2, 2, 3_000_000, "payload_length 3000000 over 2 segments"),
+    "rows": (20, W_MAX, None, f"at most {hypercast.sim.MAX_PAYLOAD_ROW_VALUES}"),
+}
+ENTRY_POINTS = ["run_schedule", "verify_payload_run", "materialize_payloads",
+                "run dbqt", "run naive", "run dbqt-general", "experiment"]
+
+
+@pytest.mark.parametrize("entry, limit", [
+    (entry, limit) for entry in ENTRY_POINTS for limit in OVER_LIMIT
+    if entry != "experiment" or limit in ("segments", "cells")
+])
+def test_every_entry_point_refuses_each_limit_before_its_work(
+    capsys, monkeypatch, tmp_path, entry, limit
+):
+    """`check_limits` refuses before any basis is built, payload drawn,
+    plan made or trial drawn; `run` checks the payload limits only with
+    --payload-check, and `experiment`, which draws no payloads, checks
+    every grid point first, a V under the limit listed first included."""
+    def reached(*_args, **_kwargs):
+        raise AssertionError("work began on a run over a simulator limit")
+
+    for module, name in [(hypercast.sim, "UserBases"), (hypercast.sim, "rank_mod"),
+                         (hypercast.general, "random_instance"), (hypercast.cli, "dbqt_schedule"),
+                         (hypercast.cli, "dbqt_general"), (hypercast.cli, "naive_schedule")]:
+        monkeypatch.setattr(module, name, reached)
+    monkeypatch.setattr(hypercast.sim, "random", types.SimpleNamespace(Random=reached))
+    V, W, L, words = OVER_LIMIT[limit]
+    payload = limit in ("store", "rows")
+    topology = StorageTopology(W, {1: range(1, W + 1), **{v: () for v in range(2, V + 1)}}, L)
+    store = types.SimpleNamespace(topology=topology, length=topology.store_length)  # no matrix: never read
+    library = {
+        "run_schedule": lambda: hypercast.sim.run_schedule(topology, [], store if payload else None),
+        "verify_payload_run": lambda: hypercast.sim.verify_payload_run(store, []),
+        "materialize_payloads": lambda: hypercast.sim.materialize_payloads(topology, 0),
+    }
+    if entry in library:
+        with pytest.raises(ValueError) as caught:
+            library[entry]()
+        assert words in str(caught.value)
+        return
+    start = time.perf_counter()
+    if entry == "experiment":
+        argv = ["experiment", "--users-list", f"6,{V}", "--segments-list", str(W), "--trials", "1",
+                "--extra-edges", "2", "--seed", "1"]
+    else:
+        path = tmp_path / "over.json"
+        hypercast.formats.write_instance(path, topology)
+        argv = ["run", "--in", str(path), "--strategy", entry.split()[1]]
+        argv += ["--payload-check"] if payload else []
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and words in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("strategy", ["naive", "dbqt-general"])

@@ -88,12 +88,27 @@ def test_constructor_rejects_bad_input():
         Hypergraph([0, 1], [])
 
 
-@pytest.mark.parametrize("vertex", [1.9, 2.0, "2", True])
-def test_constructor_refuses_non_integer_vertex_ids(vertex):
-    """Vertex ids are refused, not coerced by int(), as StorageTopology
-    refuses its ids."""
-    with pytest.raises(ValueError, match="vertex id must be an integer"):
-        Hypergraph([vertex, 3], [])
+# where a non-integer goes, and what the refusal calls it
+NON_INTEGER_SITES = {
+    "vertices": (lambda x: Hypergraph([x, 3], []), "vertex id"),
+    "edge": (lambda x: Hypergraph([1, 2, 3], [({x, 3}, 1)]), "vertex id"),
+    "weight": (lambda x: Hypergraph([1, 2, 3], [({2, 3}, x)]), "edge weight"),
+    "Edge": (lambda x: Edge(frozenset({x, 3})), "vertex id"),
+    "Edge-weight": (lambda x: Edge(frozenset({2, 3}), x), "edge weight"),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, x, id=str(x) if site == "vertices" else f"{site}-{x}")
+    for site in NON_INTEGER_SITES for x in (1.9, 2.0, "2", True)
+])
+def test_constructor_refuses_non_integer_vertex_ids(site, value):
+    """Vertex ids, in the vertex list and in an edge, and edge weights are
+    refused, not coerced by int() or read as the int a bool equals, by
+    Hypergraph and by Edge, as StorageTopology refuses its ids."""
+    build, what = NON_INTEGER_SITES[site]
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        build(value)
 
 
 def test_edges_sorted_deterministically():

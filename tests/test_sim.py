@@ -166,6 +166,27 @@ def test_broadcast_validation_sender_length_and_span(tree_topology):
         run_schedule(tree_topology, [heard, Broadcast(1, (5, 1, 2, 0))])
 
 
+@pytest.mark.parametrize("bad, message", [
+    (Broadcast(True, (1, 0, 0, 0)), "slot 1: sender True is not an integer"),
+    (Broadcast(1.0, (1, 0, 0, 0)), "slot 1: sender 1.0 is not an integer"),
+    (Broadcast(1, (1.5, 0, 0, 0)), "slot 1: coefficients (1.5, 0, 0, 0) are not all integers"),
+    (Broadcast(1, ("1", 0, 0, 0)), "slot 1: coefficients ('1', 0, 0, 0) are not all integers"),
+    # an int beyond int64 sends the run down the value-by-value path
+    (Broadcast(1, (P * 2**40, 1.5, 0, 0)),
+     f"slot 1: coefficients ({P * 2**40}, 1.5, 0, 0) are not all integers"),
+])
+def test_senders_and_coefficients_must_be_integers(tree_topology, bad, message):
+    """A sender or coefficient that is not an int is refused at its slot,
+    mid-run too, not read as the int it casts to; a slot before it that
+    fails is refused first."""
+    ok, lacking = Broadcast(1, (1, 0, 0, 0)), Broadcast(1, (0, 1, 0, 0))
+    with pytest.raises(ValueError) as caught:
+        run_schedule(tree_topology, [ok, bad])
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="slot 0: sender 1 cannot form"):
+        run_schedule(tree_topology, [lacking, bad])
+
+
 def test_uncoded_broadcast_positions(tree_topology):
     b = uncoded_broadcast(tree_topology, 4)
     # holders of 4 are {4, 5}; the lowest id sends
