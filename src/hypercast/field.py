@@ -5,12 +5,13 @@ uses int64 numpy arrays; a single product of two reduced values stays
 below 2**62, so every elementary step fits in int64 before the modular
 reduce; large products (combine_mod) go through exact float64 BLAS
 products on 11-bit limbs.  UserBases keeps every user's sparse basis rows
-in flat int64 arrays, and takes in a run of one sender's broadcasts with
-one grouped sum and one small dense elimination per slot for every class
-of users whose residuals agree, payloads included.
+in flat int64 arrays, and takes in a piece of broadcasts, of one sender or
+several, with one grouped sum and one small dense elimination per slot for
+every class of users whose residuals agree, payloads and checks included.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -119,7 +120,7 @@ def combine_mod(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 class Refused(Exception):
-    """Slot `slot` of a run, counted from the run's first, cannot be sent:
+    """Slot `slot` of a delivery, counted from its first, cannot be sent:
     its coefficients leave the sender's span or, with `payload`, its
     payload differs from the store's combination."""
 
@@ -130,7 +131,7 @@ class Refused(Exception):
 
 class UserBases:
     """Every user's fully reduced basis over GF(P), held together so that
-    `deliver` takes a run of one sender's broadcasts into all of them.
+    `deliver` takes a sequence of broadcasts into all of them.
 
     User u spans the unit vectors of its stored coordinates and its basis
     rows.  A row is 1 at its pivot and 0 at its owner's stored
@@ -146,6 +147,10 @@ class UserBases:
     carries a payload, the image of its vector, and ``source[u, w]``
     indexes the payload that u uses for coordinate w: the stored column,
     the pivot's row, or a zero row.
+
+    A `deliver` that raises Refused partway through a piece may already
+    have updated earlier rows' payloads in place, so the bases are not to
+    be used after it.
     """
 
     __slots__ = ("covered", "units", "shift", "pivot", "rows", "entries", "payloads", "source")
@@ -190,30 +195,37 @@ class UserBases:
             out[:, i:i + step] = combine_mod(coefficients, sources).reshape(k, part, L)
         return out
 
-    def deliver(self, sender: int, vectors: np.ndarray, images: np.ndarray | None = None):
-        """Deliver a run: the broadcasts `vectors` (k x W ints in [0, P))
-        that user `sender` sends one after another, whose payloads must
-        equal `images` (k x L) in payload mode.
+    @property
+    def shared(self) -> int:
+        """The most slots that runs of several senders take as one piece:
+        users by slots by every column and payload value fit RUN_ALLOWANCE."""
+        V, W = self.covered.shape
+        L = 0 if self.payloads is None else self.payloads.shape[1]
+        return RUN_ALLOWANCE // max(V * (W + L), 1)
+
+    def deliver(self, senders: list[int], vectors: np.ndarray, images: np.ndarray | None = None):
+        """Deliver the broadcasts `vectors` (k x W ints in [0, P)) that
+        users `senders` (one per slot) send one after another, whose
+        payloads must equal `images` (k x L) in payload mode.
+
+        The slots go in as pieces: consecutive sender runs share one while
+        it holds at most `shared` slots, else a piece is one sender's run,
+        cut where its pending block, users by slots by its columns plus L,
+        would outgrow the budget: the larger of RUN_ALLOWANCE values and
+        what the bases hold (their entries and, with payloads, the W + 1
+        store and zero rows and every row's L values) plus one residual of
+        V x W coefficients and V x L payload values.
 
         One grouped sum gives every user's residual of every slot over the
-        run's columns (the broadcasts' support and the entries of the rows
-        pivoted there), against its basis at the start of the run.  In
-        payload mode each residual carries L payload values as columns
+        piece's columns (the broadcasts' support and the entries of the
+        rows pivoted there), against its basis at the start of the piece.
+        In payload mode each residual carries L payload values as columns
         after the coefficients, the image less what the user forms, so one
-        rank-1 step per slot updates both.  The sender gains no row from
-        its own broadcasts, so its residuals are the checks: the first slot
-        where the sender's is not zero raises Refused, with `payload` if its
+        rank-1 step per slot updates both.  `_eliminate` then takes the
+        residuals in, once for each class of users whose residuals agree
+        bit for bit, and checks each sender: the first slot where the
+        sender's residual is not zero raises Refused, with `payload` if its
         coefficients are zero, and the slots from it on are not delivered.
-        `_eliminate` then takes the residuals in, once for each class of
-        users whose residuals agree bit for bit.
-
-        A run's budget is the larger of RUN_ALLOWANCE values and what the
-        bases hold (their entries and, with payloads, the W + 1 store and
-        zero rows and every row's L values) plus one residual of V x W
-        coefficients and V x L payload values.  A run is cut where its
-        pending block, users by slots by its columns plus L, would outgrow
-        it, and the pieces go in one after another; the rows from before a
-        piece are held from its start where they fit the same budget.
 
         Returns, per slot, every user's rank after it and the coordinates
         of the units it made, one per user that decoded each.  A user's
@@ -223,6 +235,9 @@ class UserBases:
         """
         V, W = self.covered.shape
         shift, L = self.shift, 0 if self.payloads is None else self.payloads.shape[1]
+        # where each run ends, and how many slots runs of several senders share
+        ends = [j for j in range(1, len(senders)) if senders[j] != senders[j - 1]] + [len(senders)]
+        shared = self.shared
         out = []
         while len(out) < len(vectors):
             start = len(out)
@@ -231,17 +246,20 @@ class UserBases:
             # what the bases hold, the store and each row's payload included, and
             # one residual, or RUN_ALLOWANCE if that is more
             budget = max(self.entries.size + (W + 1 + self.rows) * L + V * (W + L), RUN_ALLOWANCE)
-            run = vectors[start:start + max(1, budget // V + W)]
+            # the runs from `start` on, and those of them that share a piece
+            first, last = bisect.bisect(ends, start), bisect.bisect(ends, start + shared)
+            stop = ends[last - 1] if last > first else min(ends[first], start + max(1, budget // V + W))
+            piece = vectors[start:stop]
             while True:
-                cols = run.any(axis=0)
+                cols = piece.any(axis=0)
                 terms = cols[self.pivot[row]]  # the rows pivoted on the support
                 cols[coord[terms]] = True  # and their entries' columns
                 cols = cols.nonzero()[0]
-                if len(run) * V * (cols.size + L) <= budget or len(run) == 1:
+                if len(piece) * V * (cols.size + L) <= budget or len(piece) == 1:
                     break
                 # a prefix short enough even over every column of this one
-                run = run[:max(1, budget // (V * (cols.size + L)))]
-            k, width = len(run), cols.size + 1
+                piece = piece[:max(1, budget // (V * (cols.size + L)))]
+            k, width = len(piece), cols.size + 1
             col_at = np.full(W, width - 1)  # the last column, always zero, stands for the rest
             col_at[cols] = np.arange(cols.size)
             at = col_at[coord]  # each entry's column in the block
@@ -255,16 +273,16 @@ class UserBases:
             spent = functools.reduce(np.add, (
                 np.bincount(
                     (np.arange(j, min(j + step, k))[:, None] * width + where).ravel(),
-                    (run[j:j + step, self.pivot[row[terms]]] * value[terms] % P).ravel(),
+                    (piece[j:j + step, self.pivot[row[terms]]] * value[terms] % P).ravel(),
                     V * k * width,
                 )
                 for j in range(0, k, step)
             )).reshape(V, k, width)
-            spent[:, :, :-1] -= run[:, cols]
+            spent[:, :, :-1] -= piece[:, cols]
             spent.swapaxes(0, 1)[:, :, :-1][:, self.covered[:, cols]] = 0
             np.negative(spent, out=spent)
             if images is not None:  # formed before the block exists, to keep the peak low
-                formed = self.formed(run)
+                formed = self.formed(piece)
             # user by user, each residual's coefficients, then its L payload values
             block = np.empty((V, k, width + L), dtype=np.int64)
             block[:, :, :width] = spent
@@ -274,39 +292,40 @@ class UserBases:
                 np.subtract(images[start:start + k] + P, formed.swapaxes(0, 1), out=block[:, :, width:])
                 del formed
                 _reduce(block[:, :, width:])
-            # the sender's residual is zero iff it spans the slot and forms its image
-            refused = block[sender].any(axis=1)
-            if np.count_nonzero(refused):
-                j = int(refused.argmax())
-                raise Refused(start + j, not block[sender, j, :width].any())
             # users whose residuals agree bit for bit take the same steps, so
             # each class of them goes in once
             cls, first = _classes(block)
             block = block.swapaxes(0, 1).take(first, axis=1)
-            out += self._eliminate(cols, at, block, cls, budget)
+            try:
+                out += self._eliminate(cols, at, block, cls, senders[start:start + k], budget)
+            except Refused as refusal:
+                raise Refused(start + refusal.slot, refusal.payload) from None
         return out
 
-    def _eliminate(self, cols, at, block, cls, budget):
-        """Take in a run's residuals slot by slot, once per class of users
+    def _eliminate(self, cols, at, block, cls, senders, budget):
+        """Take in a piece's residuals slot by slot, once per class of users
         whose residuals agree: `block` (k x C x (width + L)) holds class c's
         residual of slot j over `cols` against its users' bases at the
-        start of the run, then one zero column (width in all), then in
+        start of the piece, then one zero column (width in all), then in
         payload mode the residual's L payload values; ``cls[u]`` is user
         u's class, `at` gives each entry's column in the block (the zero
-        one for columns beyond) and `budget` the run's memory budget.
+        one for columns beyond), ``senders[j]`` slot j's sender and
+        `budget` the piece's memory budget.
 
-        At each slot a class's residual, by then reduced by every new row
-        before it, becomes each of its users' new row if it is nonzero,
-        pivoted at its smallest coordinate, and is substituted into every
-        other row of each user with an entry there: the new rows and the
-        later residuals, which the class shares, and the rows held from
-        before the run, which are each user's own.  The rows from before
-        that can be hit join a dense block over the run's columns: all at
-        the start if they fit the budget, else each at the first slot that
+        At the first slot of each sender's run, the sender's class must have no
+        residual left in the run: Refused names the first slot, counted from
+        the piece's first, where it has.  At each slot a class's residual, by
+        then reduced by every new row before it, becomes each of its users' new
+        row if it is nonzero, pivoted at its smallest coordinate, and is
+        substituted into every other row of each user with an entry there: the
+        new rows and the later residuals, which the class shares, and the rows
+        held from before the piece, which are each user's own.  The rows from
+        before that can be hit join a dense block over the piece's columns: all
+        at the start if they fit the budget, else each at the first slot that
         hits it.  Only a held row's entries where its owner has a residual
-        change, and its payload is updated where it lies.  A row is emptied
-        at the last slot that hits it, or when it is made one-hot.  The
-        blocks are written back once, each user taking its class's rows.
+        change, and its payload is updated where it lies.  A row is emptied at
+        the last slot that hits it, or when it is made one-hot.  The blocks are
+        written back once, each user taking its class's rows.
         """
         V, W = self.covered.shape
         shift = self.shift
@@ -344,7 +363,17 @@ class UserBases:
         # temporaries stay within _STEP_VALUES
         step = max(1, _STEP_VALUES // block[0].size)
         spans = [slice(lo, lo + step) for lo in range(0, k, step)]
+        # each run's first slot, with the run's end and its sender's class
+        firsts = [j for j in range(k) if not j or senders[j] != senders[j - 1]]
+        runs = {j: (end, cls[senders[j]]) for j, end in zip(firsts, firsts[1:] + [k])}
         for j in range(k):
+            if j in runs:
+                # the sender gains no row in its run, so its residuals, zero
+                # iff it spans each slot and forms its image, are checked at once
+                end, c = runs[j]
+                if block[j:end, c].any():
+                    i = j + int(block[j:end, c].any(axis=1).argmax())
+                    raise Refused(i, not block[i, c, :width].any())
             residual = block[j]  # reduced by every new row before it
             nonzero = residual[:, :width] != 0
             nonzero[:, -1] = True
@@ -461,10 +490,11 @@ _P = np.uint64(P)
 # block update may take (4 MB): smaller steps would cost more calls than
 # they save memory
 _STEP_VALUES = 1 << 19
-# the values that a run's pending block may take (128 KB) whatever the
+# the values that a piece's pending block may take (128 KB) whatever the
 # bases hold: a piece costs some hundred numpy calls however small it is,
-# so a run below it is not cut; from 2**16 on, a run over the whole file
-# at V = 65, W = 128 would peak beyond four V x W residuals (test_sim)
+# so a run below it is not cut, and several runs below it share a piece;
+# from 2**16 on, a run over the whole file at V = 65, W = 128 would peak
+# beyond four V x W residuals (test_sim)
 RUN_ALLOWANCE = 1 << 14
 
 

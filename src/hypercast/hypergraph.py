@@ -41,6 +41,15 @@ class Edge:
         if _integer(self.weight, "edge weight") < 1:
             raise ValueError(f"edge weight must be a positive integer, got {self.weight!r}")
 
+    @classmethod
+    def _checked(cls, vertices: frozenset[int], weight: int) -> Edge:
+        """The edge on `vertices` of `weight`, which __post_init__ would
+        check, built without checking them again."""
+        edge = object.__new__(cls)
+        object.__setattr__(edge, "vertices", vertices)
+        object.__setattr__(edge, "weight", weight)
+        return edge
+
     @property
     def key(self) -> tuple[int, ...]:
         return _edge_key(self.vertices)
@@ -77,11 +86,13 @@ class Hypergraph:
                 raise ValueError(f"edge {sorted(eset)} uses unknown vertices")
             if _integer(w, "edge weight") < 1:
                 raise ValueError(f"edge weight must be positive, got {w}")
+            if len(eset) < 2:
+                raise ValueError(f"edge needs at least 2 vertices, got {sorted(eset)}")
             weights[eset] = weights.get(eset, 0) + w
         self._vertices = vs
         self._weights = weights
         self._edges = tuple(
-            Edge(eset, w) for eset, w in sorted(weights.items(), key=lambda kv: _edge_key(kv[0]))
+            Edge._checked(e, w) for e, w in sorted(weights.items(), key=lambda kv: _edge_key(kv[0]))
         )
 
     # -- basic queries -------------------------------------------------

@@ -4,24 +4,27 @@ A broadcast is a coefficient vector over the W segments, and its sender
 must be able to form it: the vector has to lie in the span of what the
 sender knows.  Every user spans the unit vectors of the segments it
 stores plus a fully reduced sparse basis over the segments it is
-missing, and all users' bases live in one field.UserBases.  A run, the
-broadcasts one sender makes one after another, goes into every basis in
-one step: the sender learns nothing from its own broadcasts, so all of
-the run's checks come first, then one grouped sum reduces every slot
-for every receiver and a small dense elimination takes the slots in.
-A user's rank is its stored count plus its basis rank, and it has
-decoded segment w iff it stores w or its basis row with pivot w is
-one-hot.  A schedule completes when every user reaches full rank.
+missing, and all users' bases live in one field.UserBases.  Broadcasts
+go into every basis a piece at a time: one grouped sum reduces every slot
+of the piece for every receiver, and a small dense elimination takes the
+slots in.  A piece is a run, the broadcasts one sender makes one after
+another (or part of a long one), or several runs in a row while their
+block over every segment fits field.RUN_ALLOWANCE.  A sender learns
+nothing from its own broadcasts, so its run is checked all at once in
+the elimination, at the run's first slot.  A user's rank is its stored
+count plus its basis rank, and it has decoded segment w iff it stores w
+or its basis row with pivot w is one-hot.  A schedule completes when
+every user reaches full rank.
 
 A schedule is a plain list of Broadcast(sender, coefficients), and a
 broadcast's slot is its position in it.  `run_schedule` is the one loop
-over slots, which it walks run by run; its Transcript holds one record
-per slot, in the same order, and each user's decoded segments at the
-end.  With a store it carries actual length-L codewords: every basis
+over slots, which it delivers piece by piece; its Transcript holds one
+record per slot, in the same order, and each user's decoded segments at
+the end.  With a store it carries actual length-L codewords: every basis
 row holds the payload of its vector, and each row operation is applied
-to it.  A run's pending residuals carry their payloads as columns after
+to it.  A piece's pending residuals carry their payloads as columns after
 their coefficients, so one rank-1 update per slot takes both, and the
-run budget counts the store's rows as well as the basis rows' payloads.
+piece budget counts the store's rows as well as the basis rows' payloads.
 Each slot checks the sender's payload combination against M.c (M the
 store matrix, c the coefficient vector); at the end of the schedule
 every decoded segment is compared bit for bit with the store.  Either
@@ -116,7 +119,7 @@ def run_schedule(
     store: SegmentStore | None = None,
     completion: bool = False,
 ) -> Transcript:
-    """Deliver a schedule run by run: the one loop over broadcast slots.
+    """Deliver a schedule piece by piece: the one loop over broadcast slots.
 
     Every slot checks that the sender spans its coefficients and, with a
     `store`, that its payload equals the store's combination; once the
@@ -143,34 +146,36 @@ def run_schedule(
     bases = UserBases(stored, None if store is None else store.matrix.T)
     initial_ranks = tuple(stored.sum(axis=1).tolist())
     records: list[SlotRecord] = []
-    run: list[tuple] = []  # the coefficients of the current run, not yet delivered
+    pending: list[Broadcast] = []  # the slots not yet delivered
 
-    def deliver(sender: int):
-        """Deliver the run: the broadcasts of `sender` since the last run."""
+    def deliver():
+        """Deliver the pending slots."""
         nonlocal open_edges
-        vectors = np.array(run)
+        senders = [b.sender for b in pending]
+        vectors = np.array([b.coefficients for b in pending])
         if vectors.dtype != np.int64:  # floats, strings or ints beyond int64: value by value
-            whole = [all(isinstance(c, (int, np.integer)) for c in cs) for cs in run]
+            whole = [all(isinstance(c, (int, np.integer)) for c in b.coefficients) for b in pending]
             if not all(whole):  # the slots before the first that is not go in, then it is refused
                 j = whole.index(False)
-                i, bad = len(records) + j, run[j]
-                del run[j:]
-                if run:
-                    deliver(sender)
+                i, bad = len(records) + j, pending[j].coefficients
+                del pending[j:]
+                if pending:
+                    deliver()
                 raise ValueError(f"slot {i}: coefficients {bad!r} are not all integers")
-            vectors = np.array([[int(c) % P for c in cs] for cs in run], dtype=np.int64)
+            vectors = np.array([[int(c) % P for c in b.coefficients] for b in pending], dtype=np.int64)
         vectors %= P
         first = len(records)
         try:
-            slots = bases.deliver(sender - 1, vectors, None if store is None else store.combine(vectors))
+            slots = bases.deliver([s - 1 for s in senders], vectors,
+                                  None if store is None else store.combine(vectors))
         except Refused as refusal:
-            i = first + refusal.slot
+            i, sender = first + refusal.slot, senders[refusal.slot]
             if refusal.payload:
                 raise PayloadMismatch(
                     f"slot {i}: sender {sender}'s payload is not the store's combination"
                 ) from None
             raise ValueError(f"slot {i}: sender {sender} cannot form these coefficients") from None
-        for dense, (ranks, decoded) in zip(vectors.tolist(), slots):
+        for sender, dense, (ranks, decoded) in zip(senders, vectors.tolist(), slots):
             for c in decoded:
                 known[c] += 1
                 if known[c] == V and c in edge_of:
@@ -179,14 +184,14 @@ def run_schedule(
                     if not left[e]:
                         open_edges -= 1
             records.append(SlotRecord(sender, tuple(dense), ranks, open_edges))
-        run.clear()
+        pending.clear()
 
     def walk(broadcasts: Iterable[Broadcast]):
-        """The one loop over slots: each run of one sender's broadcasts is
-        delivered once the next sender, an invalid slot or the end comes."""
-        sender = None
+        """The one loop over slots: the pending slots are delivered at an
+        invalid slot, at the end, or at a change of sender once there are
+        more than the bases take in one piece of several senders."""
         for b in broadcasts:
-            i = len(records) + len(run)
+            i = len(records) + len(pending)
             problem = None
             if isinstance(b.sender, bool) or not isinstance(b.sender, int):
                 problem = f"slot {i}: sender {b.sender!r} is not an integer"
@@ -194,14 +199,13 @@ def run_schedule(
                 problem = f"slot {i}: sender {b.sender} outside 1..{V}"
             elif len(b.coefficients) != W:
                 problem = f"slot {i}: {len(b.coefficients)} coefficients for {W} segments"
-            if run and (problem or b.sender != sender):
-                deliver(sender)
+            if pending and (problem or b.sender != pending[-1].sender and len(pending) > bases.shared):
+                deliver()
             if problem:
                 raise ValueError(problem)
-            sender = b.sender
-            run.append(b.coefficients)
-        if run:
-            deliver(sender)
+            pending.append(b)
+        if pending:
+            deliver()
 
     walk(schedule)
     if completion:

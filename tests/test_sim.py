@@ -38,6 +38,7 @@ from hypercast.sim import (
     verify_payload_run,
 )
 from hypercast.dbqt import dbqt_schedule
+from hypercast.general import dbqt_general
 from hypercast.generators import random_instance
 
 TRIANGLE = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}}
@@ -355,9 +356,9 @@ def check_hand_built_run(topology, schedule):
     for v in topology.users:
         stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
     bases = UserBases(stored)
-    for sender, run in itertools.groupby(schedule, key=lambda b: b.sender):
-        vectors = np.array([b.coefficients for b in run], dtype=np.int64) % P
-        bases.deliver(sender - 1, vectors)
+    if schedule:  # in one delivery, which takes several senders' runs in a piece
+        vectors = np.array([b.coefficients for b in schedule], dtype=np.int64) % P
+        bases.deliver([b.sender - 1 for b in schedule], vectors)
     for b in schedule:
         for v in topology.users:
             if v != b.sender:
@@ -556,9 +557,9 @@ def test_a_payload_mismatch_before_a_span_failure_in_one_run():
 
 @contextlib.contextmanager
 def counted_pieces():
-    """While open, run_schedule's bases note how many slots each piece of
-    their runs took and in how many classes of users it went in, in
-    order, in the two lists it yields."""
+    """While open, run_schedule's bases note how many slots each piece
+    took and in how many classes of users it went in, in order, in the
+    two lists it yields."""
     pieces, classes = [], []
 
     class Counted(UserBases):
@@ -575,8 +576,8 @@ def counted_pieces():
 
 
 def count_pieces(topology, schedule, store=None):
-    """run_schedule's transcript, how many slots each piece of its runs
-    took and in how many classes of users each piece went in."""
+    """run_schedule's transcript, how many slots each of its pieces took
+    and in how many classes of users each piece went in."""
     with counted_pieces() as (pieces, classes):
         t = run_schedule(topology, schedule, store)
     return t, pieces, classes
@@ -585,9 +586,12 @@ def count_pieces(topology, schedule, store=None):
 def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
     """Before any basis row exists the budget is one V x W residual, less
     than RUN_ALLOWANCE, and every broadcast of the first run spans every
-    segment, so its first piece takes RUN_ALLOWANCE // (V x W) slots,
-    fewer than the run, and the rest goes in later pieces; the run goes
-    past its support size too."""
+    segment.  Its W + 3 slots are more than the `shared` ones, so
+    run_schedule delivers it alone at the change of sender and cuts it:
+    its first piece takes RUN_ALLOWANCE // (V x W) slots, the rest goes
+    in as a second, and the next sender's run as a third; the run goes
+    past its support size too.  Delivered at once, the schedule goes in
+    as two pieces: the first run's rest shares one with the next run."""
     W = 64
     topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: set(), 3: {1, 2},
                                4: set(range(1, W // 2 + 1)), 5: {W}})
@@ -595,10 +599,15 @@ def test_a_run_over_every_segment_is_cut_and_matches_the_dict_basis():
     schedule = [Broadcast(1, tuple(rng.randrange(1, P) for _ in range(W))) for _ in range(W + 3)]
     schedule += [unit_broadcast(4, W, {2: 1, 5: 7}), unit_broadcast(4, W, {3: 1})]
     V = topo.num_users
-    assert V * W < RUN_ALLOWANCE < (W + 3) * V * W
+    shared = RUN_ALLOWANCE // (V * W)
+    assert 1 < shared < W + 3 and W + 5 - shared <= shared
     t, pieces, _ = count_pieces(topo, schedule)
-    assert pieces[0] == RUN_ALLOWANCE // (V * W) and len(pieces) > 2
-    assert sum(pieces) == len(schedule)
+    assert pieces == [shared, W + 3 - shared, 2]
+    stored = np.array([[w in topo.holding(v) for w in range(1, W + 1)] for v in topo.users])
+    with counted_pieces() as (pieces, _):
+        hypercast.sim.UserBases(stored).deliver(
+            [b.sender - 1 for b in schedule], np.array([b.coefficients for b in schedule]))
+    assert pieces == [shared, W + 5 - shared]
     check_hand_built_run(topo, schedule)
     assert t.complete
 
@@ -644,10 +653,60 @@ def test_property_runs_cut_by_the_bases_budget_match_dict_basis(topo, seed, runs
     assert paid.complete and paid.slots[:len(schedule)] == t.slots
 
 
+def test_a_relay_goes_in_as_one_piece_and_each_sender_is_checked_in_it():
+    """User 1 sends e1 at slot 0; user 2, which stores segment 2, can form
+    e1 + e2 only after it: both runs share one piece and are accepted, and
+    user 3, which stores nothing, decodes both segments.  Swapped, user 2
+    cannot form e1 + e2 at slot 0; with its payload of slot 1 made off,
+    the payload check fails there."""
+    topo = StorageTopology(2, {1: {1}, 2: {2}, 3: set()})
+    relay = [unit_broadcast(1, 2, {1: 1}), unit_broadcast(2, 2, {1: 1, 2: 1})]
+    t, pieces, _ = count_pieces(topo, relay)
+    assert pieces == [2] and t.complete
+    assert [r.ranks for r in t.slots] == [(1, 2, 1), (2, 2, 2)]
+    check_hand_built_run(topo, relay)
+    with pytest.raises(ValueError, match="^slot 0: sender 2 cannot form these coefficients$"):
+        run_schedule(topo, relay[::-1])
+    assert_refused_as_dict_basis(topo, relay[::-1])
+    store = LyingStore(materialize_payloads(topo, seed=3), relay[1].coefficients)
+    with counted_pieces() as (pieces, _), pytest.raises(PayloadMismatch) as caught:
+        run_schedule(topo, relay, store)
+    assert pieces == [2]
+    assert str(caught.value) == "slot 1: sender 2's payload is not the store's combination"
+    assert_refused_as_dict_basis(topo, relay, relay[1].coefficients)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_general_schedules_go_in_as_one_piece_and_dbqt_runs_alone(seed):
+    """A dbqt-general schedule on a small cyclic instance, whose slots by
+    V x W values fit RUN_ALLOWANCE, goes in as one piece of many senders'
+    runs; DBQT's runs at V = 20, W = 128, whose block over every column
+    fits only a few slots, go in as before: no piece holds two runs.
+    Both match the rank oracle."""
+    topo = random_instance(16, 32, 2, 3, seed)
+    schedule = dbqt_general(topo)
+    assert len({b.sender for b in schedule}) > 2
+    assert len(schedule) * topo.num_users * topo.num_segments <= RUN_ALLOWANCE
+    t, pieces, _ = count_pieces(topo, schedule)
+    assert pieces == [len(schedule)]
+    assert t.slots[-1].ranks == tuple(oracle_rank(topo, [b.coefficients for b in schedule], v)
+                                      for v in topo.users)
+    topo = random_instance(20, 128, 0, 3, seed)
+    schedule = list(dbqt_schedule(topo).schedule)
+    t, pieces, _ = count_pieces(topo, schedule)
+    runs = [len(list(run)) for _, run in itertools.groupby(schedule, key=lambda b: b.sender)]
+    assert set(itertools.accumulate(runs)) <= set(itertools.accumulate(pieces))
+    assert t.complete
+
+
 def test_users_with_equal_holdings_go_in_as_one_class():
     """Users 2, 3 and 4 store the same segments, and user 1 stores every
-    segment, so no piece has as many classes as users; the run matches
-    the dict bases row for row and decodes the store."""
+    segment, so no piece has as many classes as users.  The three runs
+    of two senders, 10 slots by V x W values, fit RUN_ALLOWANCE and go in
+    as one piece, where each sender run is checked at its first slot;
+    without the allowance each run goes in alone, cut by the bases'
+    budget.  Either way the run matches the dict bases row for row and
+    decodes the store."""
     W = 8
     topo = StorageTopology(W, {1: set(range(1, W + 1)), 2: {1, 2}, 3: {1, 2}, 4: {1, 2},
                                5: {3, 4, 5}, 6: {8}})
@@ -655,8 +714,14 @@ def test_users_with_equal_holdings_go_in_as_one_class():
     schedule = [Broadcast(1, tuple(rng.randrange(P) for _ in range(W))) for _ in range(4)]
     schedule += [unit_broadcast(5, W, {3: 1, 4: 2}), unit_broadcast(5, W, {5: 1})]
     schedule += [Broadcast(1, tuple(rng.randrange(P) for _ in range(W))) for _ in range(4)]
+    assert len(schedule) * topo.num_users * W <= RUN_ALLOWANCE
     t, pieces, classes = count_pieces(topo, schedule)
-    assert len(pieces) == 3 and max(classes) < topo.num_users
+    assert pieces == [10] and max(classes) < topo.num_users
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        alone, pieces, classes = count_pieces(topo, schedule)
+    assert alone == t and len(pieces) > 3 and max(classes) < topo.num_users
+    assert {4, 6} <= set(itertools.accumulate(pieces))  # the runs' ends
     check_hand_built_run(topo, schedule)
     assert t.complete
 
@@ -767,12 +832,13 @@ def first_hits(topology, schedule):
     class Traced(UserBases):
         __slots__ = ()
 
-        def _eliminate(self, cols, at, block, cls, budget):
+        def _eliminate(self, cols, at, block, cls, senders, budget):
+            assert len(set(senders)) == 1  # no allowance: each piece is one sender's
             row, key, _ = self.entries
             owner, coord = key >> self.shift, key & ((1 << self.shift) - 1)
             inside = block[:, :, :cols.size + 1].any(axis=0)[cls[owner], at]
             rank, before = self.covered.sum(axis=1), self.rows
-            out = super()._eliminate(cols, at, block, cls, budget)
+            out = super()._eliminate(cols, at, block, cls, senders, budget)
             if np.unique(row[inside]).size * (cols.size + 1) > budget:
                 # the new rows' ids go slot after slot and user after user
                 slot, user = np.diff([rank] + [r for r, _ in out], axis=0).nonzero()
@@ -792,10 +858,11 @@ def first_hits(topology, schedule):
 
 
 def test_rows_held_from_their_first_hit_match_the_dict_basis():
-    """A row from before a run joins it at the slot that first hits it
-    where the run's rows from before it do not all fit its budget, as
-    here without RUN_ALLOWANCE; on this instance rows join at later
-    slots of their runs too."""
+    """A row from before a piece joins it at the slot that first hits it
+    where the piece's rows from before it do not all fit its budget, as
+    here without RUN_ALLOWANCE, where each piece is one sender's run or
+    part of one; on this instance rows join at later slots of their
+    pieces too."""
     topo = random_instance(8, 24, 0, 3, 3)
     schedule = list(dbqt_schedule(topo).schedule)
     with pytest.MonkeyPatch.context() as mp:
