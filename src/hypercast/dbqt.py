@@ -91,17 +91,19 @@ def ordered_representatives(h: Hypergraph) -> tuple[int, ...]:
     first = pick(sorted(h.vertices))
     order = [first]
     covered = set(incident[first])
+    reached = set().union(*covered)  # the vertices on covered edges
     while covered != all_edges:
         chosen = set(order)
         eligible = [
             v for v in sorted(h.vertices)
             if v not in chosen
-            and any(v in eset for eset in covered)
+            and v in reached
             and not incident[v] <= covered
         ]
         nxt = pick(eligible)
         order.append(nxt)
         covered |= incident[nxt]
+        reached.update(*incident[nxt])
     return tuple(order)
 
 

@@ -7,7 +7,9 @@ reduce; large products (combine_mod) go through exact float64 BLAS
 products on 11-bit limbs.  UserBases keeps every user's sparse basis rows
 in flat int64 arrays, and takes in a piece of broadcasts, of one sender or
 several, with one grouped sum and one small dense elimination per slot for
-every class of users whose residuals agree, payloads and checks included.
+every class of users whose residuals agree, payloads and checks included;
+the rows from before the piece then take its new rows in one exact product
+per class.
 """
 from __future__ import annotations
 
@@ -148,9 +150,8 @@ class UserBases:
     indexes the payload that u uses for coordinate w: the stored column,
     the pivot's row, or a zero row.
 
-    A `deliver` that raises Refused partway through a piece may already
-    have updated earlier rows' payloads in place, so the bases are not to
-    be used after it.
+    A `deliver` that raises Refused has taken in the pieces before the
+    refused slot's and writes nothing of that one.
     """
 
     __slots__ = ("covered", "units", "shift", "pivot", "rows", "entries", "payloads", "source")
@@ -225,7 +226,7 @@ class UserBases:
         residuals in, once for each class of users whose residuals agree
         bit for bit, and checks each sender: the first slot where the
         sender's residual is not zero raises Refused, with `payload` if its
-        coefficients are zero, and the slots from it on are not delivered.
+        coefficients are zero, and its piece is not delivered.
 
         Returns, per slot, every user's rank after it and the coordinates
         of the units it made, one per user that decoded each.  A user's
@@ -297,65 +298,42 @@ class UserBases:
             cls, first = _classes(block)
             block = block.swapaxes(0, 1).take(first, axis=1)
             try:
-                out += self._eliminate(cols, at, block, cls, senders[start:start + k], budget)
+                out += self._eliminate(cols, at, block, cls, senders[start:start + k])
             except Refused as refusal:
                 raise Refused(start + refusal.slot, refusal.payload) from None
         return out
 
-    def _eliminate(self, cols, at, block, cls, senders, budget):
+    def _eliminate(self, cols, at, block, cls, senders):
         """Take in a piece's residuals slot by slot, once per class of users
         whose residuals agree: `block` (k x C x (width + L)) holds class c's
         residual of slot j over `cols` against its users' bases at the
         start of the piece, then one zero column (width in all), then in
         payload mode the residual's L payload values; ``cls[u]`` is user
         u's class, `at` gives each entry's column in the block (the zero
-        one for columns beyond), ``senders[j]`` slot j's sender and
-        `budget` the piece's memory budget.
+        one for columns beyond) and ``senders[j]`` slot j's sender.
 
         At the first slot of each sender's run, the sender's class must have no
         residual left in the run: Refused names the first slot, counted from
-        the piece's first, where it has.  At each slot a class's residual, by
-        then reduced by every new row before it, becomes each of its users' new
-        row if it is nonzero, pivoted at its smallest coordinate, and is
-        substituted into every other row of each user with an entry there: the
-        new rows and the later residuals, which the class shares, and the rows
-        held from before the piece, which are each user's own.  The rows from
-        before that can be hit join a dense block over the piece's columns: all
-        at the start if they fit the budget, else each at the first slot that
-        hits it.  Only a held row's entries where its owner has a residual
-        change, and its payload is updated where it lies.  A row is emptied at
-        the last slot that hits it, or when it is made one-hot.  The blocks are
-        written back once, each user taking its class's rows.
+        the piece's first, where it has, and the bases are left as they were.
+        At each slot a class's residual, by then reduced by every new row before
+        it, becomes each of its users' new row if it is nonzero, pivoted at its
+        smallest coordinate, and is substituted into the class's other rows with
+        an entry there.  A later residual's entry cancels against the pivot's 1;
+        an earlier new row i keeps its entry a_j[i], the multiple of slot j's
+        new row that it took.
+
+        The rows held from before the piece never feed a residual, so they
+        take the class's final new rows once, after the last slot: a row with
+        entries r at its owner's class's pivots drops them and takes r times
+        those rows, in one exact product per class.  Emptied, it is a unit at
+        its last hit, the last slot j with m_j = r_j - sum_{i<j} r_i a_j[i]
+        nonzero, the entry it had at slot j's pivot when slot j came.  The
+        blocks are written back once, each user taking its class's rows.
         """
-        V, W = self.covered.shape
+        W = self.covered.shape[1]
         shift = self.shift
         k, C, width = *block.shape[:2], cols.size + 1
         paid = self.payloads is not None
-        row, key, value = self.entries
-        # the candidates: entries where their owner has a residual; `of`
-        # gives each its row among the candidate rows, in ascending row id,
-        # and their keys give each candidate row's owner
-        inside = block[:, :, :width].any(axis=0)[cls[key >> shift], at]
-        cand = inside.nonzero()[0]
-        flag = np.zeros(self.rows, dtype=bool)
-        flag[row[cand]] = True
-        cand_rows = flag.nonzero()[0]
-        of = cand_rows.searchsorted(row[cand])
-        cand_owner = np.empty(cand_rows.size, dtype=np.int64)
-        cand_owner[of] = key[cand] >> shift
-        # `taken` lists the held rows, as candidate rows, in the order they joined
-        if cand_rows.size * width <= budget:  # all fit: each is held from the start
-            taken = np.arange(cand_rows.size)
-            held = np.zeros((taken.size, width), dtype=np.int64)
-            held[of, at[cand]] = value[cand]
-            wait_of = of[:0]
-        else:  # each waits, as its candidate entries, for the first slot that hits it
-            taken = of[:0]
-            held = np.zeros((0, width), dtype=np.int64)
-            wait_of, wait_at, wait_value, wait_class = of, at[cand], value[cand], cls[key[cand] >> shift]
-        holder = cls[cand_owner[taken]]  # each held row's owner's class
-        held_index = np.arange(len(held))
-        last_hit = np.full(cand_rows.size, -1)  # the last slot that hit each candidate row
         everyone = np.arange(C)
         pivot = np.full((k, C), width - 1)  # each new row's column; the last for none
         hit_at = np.full((k, C), -1)  # the last slot that hit each row
@@ -385,9 +363,9 @@ class UserBases:
             inv = np.zeros(C, dtype=np.int64)
             inv[gains] = [pow(x, -1, P) for x in residual[gains, q[gains]].tolist()]
             new = residual * inv[:, None] % P  # 1 at its pivot, 0 without a gain
-            # a hit row, one with an entry at its owner's new pivot, takes
-            # that entry's multiple of the new row; the hit entry itself
-            # cancels against the pivot 1
+            new[everyone, q] = 0  # a row holds no entry at its pivot
+            # a hit row, one with an entry at its class's new pivot, takes
+            # that entry's multiple of the new row
             a = block[:, everyone, q]
             a[j] = 0
             hit = a != 0
@@ -397,56 +375,63 @@ class UserBases:
                     part = block[span]
                     part += (P - a[span])[:, :, None] * new  # below 2**62 + 2**31
                     _reduce(part)
-            # the waiting rows join held when first hit; a row has one entry
-            # per column, so each is hit through at most one
-            first = wait_of[wait_at == q[wait_class]] if wait_of.size else wait_of
-            if first.size:
-                place = np.full(cand_rows.size, -1)
-                place[first] = np.arange(first.size)
-                place = place[wait_of]
-                mine = place >= 0
-                rows = np.zeros((first.size, width), dtype=np.int64)
-                rows[place[mine], wait_at[mine]] = wait_value[mine]
-                wait = ~mine
-                wait_of, wait_at, wait_value, wait_class = (
-                    wait_of[wait], wait_at[wait], wait_value[wait], wait_class[wait])
-                held = np.concatenate((held, rows))
-                taken = np.concatenate((taken, first))
-                holder = np.concatenate((holder, cls[cand_owner[first]]))
-                held_index = np.arange(len(held))
-            b = held[held_index, q[holder]]
-            hits = b.nonzero()[0]
-            if hits.size:
-                last_hit[taken[hits]] = j
-                owner, b = holder[hits], (P - b[hits])[:, None]
-                rows = new[owner, :width]
-                rows *= b
-                rows += held[hits]
+                block[j + 1:, everyone, q] = 0  # the later residuals' entries cancel
+            block[j] = new
+        made = pivot < width - 1
+        gained = np.zeros((C, width), dtype=bool)  # each class's pivots
+        gained[made.nonzero()[1], pivot[made]] = True
+        # the held rows: those with an entry at a pivot of their owner's class,
+        # class after class and in ascending row id, leave the entries; a
+        # row's last column marks the entries it keeps beyond the piece's columns
+        row, key, value = self.entries
+        owner = key >> shift
+        place = np.full(self.rows, -1)
+        pick = gained[cls[owner], at]
+        place[row[pick]] = cls[owner[pick]]
+        old = (place >= 0).nonzero()[0]
+        old = old[place[old].argsort(kind="stable")]
+        place[old] = np.arange(old.size)
+        mine = place[row] >= 0
+        of = place[row[mine]]
+        holder = np.empty(old.size, dtype=np.int64)
+        holder[of] = owner[mine]
+        held = np.zeros((old.size, width), dtype=np.int64)
+        held[of, at[mine]] = value[mine]
+        self.entries = self.entries[:, ~mine | (at == width - 1)]
+        last_hit = np.empty(old.size, dtype=np.int64)  # the last slot that hit each emptied row
+        counts = np.bincount(cls[holder], minlength=C)
+        ends = counts.cumsum().tolist()
+        for c in counts.nonzero()[0].tolist():
+            slots = made[:, c].nonzero()[0]
+            pivots = pivot[slots, c]
+            # at the class's pivots new row i holds a_j[i] for i < j and 0 for
+            # the others, so a held row with entries r there takes r_j - sum_i
+            # r_i a_j[i] at p_j below, its entry at p_j when slot j came
+            new = block[slots, c]
+            # a chunk's rows, product and payloads and combine_mod's two
+            # temporaries take about five times its rows by width + L values
+            step = max(1, _STEP_VALUES // (5 * new.shape[1]))
+            for lo in range(ends[c] - counts[c], ends[c], step):
+                part = slice(lo, min(lo + step, ends[c]))
+                rows = held[part]
+                product = combine_mod(rows[:, pivots], new)
+                rows += P
+                rows -= product[:, :width]
                 _reduce(rows)
-                held[hits] = rows
+                hits = rows[:, pivots] != 0
+                rows[:, pivots] = 0  # cancelled against the pivots' 1
+                gone = ~rows.any(axis=1)
+                last_hit[part][gone] = slots[-1 - hits[gone, ::-1].argmax(axis=1)]
                 if paid:  # a held row's payload stays in place, at W + 1 + its id
-                    at_rows = W + 1 + cand_rows[taken[hits]]
-                    rows = new[owner, width:]
-                    rows *= b
-                    rows += self.payloads[at_rows]
+                    at_rows = W + 1 + old[part]
+                    rows = self.payloads[at_rows] + P
+                    rows -= product[:, width:]
                     _reduce(rows)
                     self.payloads[at_rows] = rows
-            new[everyone, q] = 0  # a row holds no entry at its pivot
-            block[j] = new
-        # the held rows leave the entries and come back below, in row id order
-        joined = np.zeros(cand_rows.size, dtype=bool)
-        joined[taken] = True
-        keep = np.ones(len(row), dtype=bool)
-        keep[cand[joined[of]]] = False
-        self.entries = self.entries[:, keep]
-        order = taken.argsort()
-        taken = taken[order]
-        held, old, held_hit_at = held[order], cand_rows[taken], last_hit[taken]
-        holder = cand_owner[taken]
         # the new rows, slot after slot and user after user, as their ids go;
-        # each user's are its class's
-        pivot, hit_at = pivot[:, cls], hit_at[:, cls]
-        made = pivot < width - 1
+        # each user's are its class's, without the entries at other pivots
+        block[:, :, :width][:, gained] = 0
+        pivot, hit_at, made = pivot[:, cls], hit_at[:, cls], made[:, cls]
         slot, user = made.nonzero()
         new = block[slot, cls[user]]
         ids = self.rows + np.arange(slot.size)
@@ -461,24 +446,20 @@ class UserBases:
             self.source[user, coordinate] = W + 1 + ids
 
         # every row of the window: the held rows, then the new ones
-        rows = np.concatenate((held[:, :-1], new[:, :width - 1]))
+        rows = np.concatenate((held, new[:, :width]))
         ids = np.concatenate((old, ids))
         user = np.concatenate((holder, user))
         empty = ~rows.any(axis=1)
         if np.count_nonzero(empty):
-            # a held row emptied here keeps the entries it has beyond the window
-            beyond = np.zeros(self.rows, dtype=bool)
-            beyond[self.entries[0]] = True
-            empty[:old.size] &= ~beyond[old]
             # each unit's slot: the last that hit its row, or the one that made it
-            when = np.concatenate((held_hit_at, np.maximum(hit_at[made], slot)))
+            when = np.concatenate((last_hit, np.maximum(hit_at[made], slot)))
             empty = empty.nonzero()[0]
             empty = empty[when[empty].argsort(kind="stable")]
             what = np.concatenate((self.pivot[old], coordinate))
             for j, u, w in zip(when[empty].tolist(), user[empty].tolist(), what[empty].tolist()):
                 out[j][1].append(w)
                 self.units[u].append(w)
-        i, c = rows.nonzero()
+        i, c = rows[:, :-1].nonzero()
         self.entries = np.concatenate(
             (self.entries, np.array((ids[i], user[i] << shift | cols[c], rows[i, c]))), axis=1
         )

@@ -276,9 +276,9 @@ def test_dbqt_run_plan_and_transcript_bytes_are_pinned(capsys, tmp_path):
 
 
 def test_dbqt_run_where_rows_join_at_their_first_hit_is_pinned(capsys, tmp_path):
-    """At 40 users and 512 segments most pieces of the dbqt run hold their
-    earlier rows from the first slot that hits each, not from the start,
-    with the default run allowance."""
+    """At 40 users and 512 segments most pieces of the dbqt run have more
+    rows from before them than their budget, which once held each such row
+    from the first slot that hit it; the bytes stay those of that run."""
     path, transcript = tmp_path / "inst.json", tmp_path / "tr.json"
     run_cli(capsys, "gen", "--users", "40", "--segments", "512", "--seed", "1", "--out", str(path))
     code, out, _ = run_cli(

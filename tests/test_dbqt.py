@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercast import Hypergraph, StorageTopology
 from hypercast.dbqt import (
@@ -71,6 +72,34 @@ def test_representative_prefixes_stay_connected():
         # each later pick touches an edge covered before it
         for i, v in enumerate(reps[1:], start=1):
             assert any(v in eset for eset in covered[i - 1])
+
+
+def scanned_representatives(h):
+    """The ordering as first written, kept as the oracle: each later pick
+    rescans every vertex against every covered edge for eligibility."""
+    incident = {v: frozenset(e.vertices for e in h.incident(v)) for v in h.vertices}
+
+    def pick(cands):
+        return min(v for v in cands if not any(incident[v] < incident[u] for u in cands if u != v))
+
+    order = [pick(sorted(h.vertices))]
+    covered = set(incident[order[0]])
+    while covered != h.edge_sets:
+        order.append(pick([
+            v for v in sorted(h.vertices)
+            if v not in order and any(v in eset for eset in covered) and not incident[v] <= covered
+        ]))
+        covered |= incident[order[-1]]
+    return tuple(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(users=st.integers(3, 40), max_size=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_property_representatives_match_the_covered_edge_scan(users, max_size, seed):
+    """On random quasi-trees the ordering with its set of reached vertices
+    picks exactly what the scan of every covered edge picks."""
+    _topo, h, _placement = generated_model(users, 2 * users, 0, min(max_size, users - 1), seed)
+    assert ordered_representatives(h) == scanned_representatives(h)
 
 
 # -- coding matrices ----------------------------------------------------

@@ -345,20 +345,27 @@ def basis_rows(bases):
     return rows
 
 
+def delivered_at_once(topology, schedule):
+    """UserBases after one delivery of `schedule`, which takes several
+    senders' runs in a piece, and what the delivery returned per slot."""
+    stored = np.zeros((topology.num_users, topology.num_segments), dtype=bool)
+    for v in topology.users:
+        stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
+    bases = UserBases(stored)
+    if not schedule:
+        return bases, []
+    vectors = np.array([b.coefficients for b in schedule], dtype=np.int64) % P
+    return bases, bases.deliver([b.sender - 1 for b in schedule], vectors)
+
+
 def check_hand_built_run(topology, schedule):
     """The run of `schedule` matches one dict basis per user in ranks,
     decode order and every basis row, and its payload run, with the
     uncoded completion appended, decodes the store bit for bit.  Returns
     the basis rows."""
     assert_matches_dict_basis(topology, schedule)
-    stored = np.zeros((topology.num_users, topology.num_segments), dtype=bool)
     oracles = {v: ColumnBasis() for v in topology.users}
-    for v in topology.users:
-        stored[v - 1, [w - 1 for w in topology.holding(v)]] = True
-    bases = UserBases(stored)
-    if schedule:  # in one delivery, which takes several senders' runs in a piece
-        vectors = np.array([b.coefficients for b in schedule], dtype=np.int64) % P
-        bases.deliver([b.sender - 1 for b in schedule], vectors)
+    bases, _ = delivered_at_once(topology, schedule)
     for b in schedule:
         for v in topology.users:
             if v != b.sender:
@@ -821,54 +828,93 @@ def test_row_emptied_in_the_window_keeps_its_entries_beyond_it():
     assert run_schedule(topo, schedule).decoded[1] == frozenset({2})
 
 
-def first_hits(topology, schedule):
-    """For each piece of the run of `schedule` whose rows from before it
-    do not all fit its budget (the condition of `_eliminate`, recomputed
-    here), so that each joins at the slot that first hits it, those
-    slots: the first at which the row's owner makes a new row pivoted at
-    one of the row's entries in the piece."""
-    joins = []
-
-    class Traced(UserBases):
-        __slots__ = ()
-
-        def _eliminate(self, cols, at, block, cls, senders, budget):
-            assert len(set(senders)) == 1  # no allowance: each piece is one sender's
-            row, key, _ = self.entries
-            owner, coord = key >> self.shift, key & ((1 << self.shift) - 1)
-            inside = block[:, :, :cols.size + 1].any(axis=0)[cls[owner], at]
-            rank, before = self.covered.sum(axis=1), self.rows
-            out = super()._eliminate(cols, at, block, cls, senders, budget)
-            if np.unique(row[inside]).size * (cols.size + 1) > budget:
-                # the new rows' ids go slot after slot and user after user
-                slot, user = np.diff([rank] + [r for r, _ in out], axis=0).nonzero()
-                made = dict(zip(zip(user.tolist(), self.pivot[before:self.rows].tolist()),
-                                slot.tolist()))
-                first = {}
-                for r, u, w in zip(*(x[inside].tolist() for x in (row, owner, coord))):
-                    if (u, w) in made:
-                        first[r] = min(first.get(r, len(out)), made[u, w])
-                joins.append(sorted(first.values()))
-            return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hypercast.sim, "UserBases", Traced)
-        run_schedule(topology, schedule)
-    return joins
+def slot_units(topology, schedule):
+    """The segments decoded at each slot, in the order UserBases gives
+    them, from one delivery of the whole schedule."""
+    return [[w + 1 for w in units] for _, units in delivered_at_once(topology, schedule)[1]]
 
 
-def test_rows_held_from_their_first_hit_match_the_dict_basis():
-    """A row from before a piece joins it at the slot that first hits it
-    where the piece's rows from before it do not all fit its budget, as
-    here without RUN_ALLOWANCE, where each piece is one sender's run or
-    part of one; on this instance rows join at later slots of their
-    pieces too."""
-    topo = random_instance(8, 24, 0, 3, 3)
-    schedule = list(dbqt_schedule(topo).schedule)
+def held_topology(W):
+    """User 1 stores every segment, user 2 all but 1 and user 3 all but
+    1, 2 and 3."""
+    return StorageTopology(W, {1: set(range(1, W + 1)), 2: set(range(2, W + 1)),
+                               3: set(range(4, W + 1))})
+
+
+# user 2 decodes segment 1 from slot 0 and then sends e2 + y e3 and e3, a
+# run that goes in as a piece of its own without RUN_ALLOWANCE, so user
+# 3's row from slot 0 is held from before it
+HELD = held_topology(6)
+X, Y = 5, 7
+
+
+def held_row_run(first, middle=(), W=6):
+    """User 1's broadcast `first` at slot 0, then user 2's e2 + y e3,
+    the broadcasts `middle`, and e3."""
+    return [unit_broadcast(1, W, first), unit_broadcast(2, W, {2: 1, 3: Y}), *middle,
+            unit_broadcast(2, W, {3: 1})]
+
+
+def test_a_held_row_hit_only_through_fill_in_decodes_at_its_last_hit():
+    """User 3's row e1 + x e2 takes e2 + y e3 at slot 1 and so gains an
+    entry at 3, which e3 clears at slot 2: its last hit comes through that
+    fill-in alone, and user 3 decodes 1, 2 and 3 there."""
+    schedule = held_row_run({1: 1, 2: X})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "RUN_ALLOWANCE", 0)
-        assert any(max(piece, default=0) > 0 for piece in first_hits(topo, schedule))
-        assert_matches_dict_basis(topo, schedule)
+        assert count_pieces(HELD, schedule)[1] == [1, 2]
+        assert slot_units(HELD, schedule) == [[1], [], [1, 2, 3]]
+        check_hand_built_run(HELD, schedule)
+    assert dict_basis_run(HELD, schedule[:2])[1][2] == []
+    assert dict_basis_run(HELD, schedule)[1][2] == [1, 2, 3]
+
+
+def test_a_held_row_emptied_at_a_slot_is_not_hit_after_it():
+    """User 3's row e1 + x e2 + xy e3 loses both entries to e2 + y e3 at
+    slot 1, so it decodes 1 there; e3 at slot 2 no longer hits it, though
+    the row held an entry at 3 before the piece."""
+    schedule = held_row_run({1: 1, 2: X, 3: X * Y})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        assert count_pieces(HELD, schedule)[1] == [1, 2]
+        assert slot_units(HELD, schedule) == [[1], [1], [2, 3]]
+        check_hand_built_run(HELD, schedule)
+    assert dict_basis_run(HELD, schedule[:2])[1][2] == [1]
+    assert dict_basis_run(HELD, schedule)[1][2] == [1, 2, 3]
+
+
+def test_a_long_run_of_repeats_between_gains_hits_a_held_row_at_its_last_gain():
+    """Between e2 + y e3 and e3, user 2 repeats e2 + y e3 a hundred times,
+    and a hundred more after e3: slots without a gain for any user.  Its
+    203 slots over 64 segments are more than the `shared` ones, so with
+    RUN_ALLOWANCE the run goes in as one piece of 202 after slot 0's, and
+    without it in short pieces.  Either way user 3's row from slot 0 is
+    hit last through fill-in at e3's slot."""
+    W = 64
+    topo = held_topology(W)
+    repeat = unit_broadcast(2, W, {2: 1, 3: Y})
+    schedule = held_row_run({1: 1, 2: X}, [repeat] * 100, W) + [repeat] * 100
+    for allowance in (RUN_ALLOWANCE, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "RUN_ALLOWANCE", allowance)
+            pieces = count_pieces(topo, schedule)[1]
+            assert (pieces == [1, 202]) == bool(allowance)
+            units = slot_units(topo, schedule)
+            assert units[102] == [1, 2, 3] and [u for u in units if u] == [[1], [1, 2, 3]]
+            check_hand_built_run(topo, schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies(), seed=st.integers(0, 2**32 - 1), runs=st.integers(2, 4))
+def test_property_held_rows_reduced_a_row_at_a_time_match_dict_basis(topo, seed, runs):
+    """With each run its own piece, so that rows are held from before
+    pieces, and _STEP_VALUES so small that every class's product with its
+    new rows goes one held row at a time: ranks, decode order and every
+    basis row as the dict bases, and a payload run that decodes."""
+    schedule = run_heavy_schedule(random.Random(seed), topo, runs, P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "RUN_ALLOWANCE", 0)
+        mp.setattr(field, "_STEP_VALUES", 1)
         check_hand_built_run(topo, schedule)
 
 
