@@ -3,12 +3,13 @@
 All vectors and matrices hold plain integers in [0, P).  Dense arithmetic
 uses int64 numpy arrays; a single product of two reduced values stays
 below 2**62, so every elementary step fits in int64 before the modular
-reduce; large products (combine_mod) go through exact float64 BLAS
-products on 11-bit limbs.  UserBases keeps every user's sparse basis rows
-in flat int64 arrays, and takes in a piece of broadcasts, of one sender or
-several, with one grouped sum and one small dense elimination per slot for
-every class of users whose residuals agree, payloads and checks included;
-the rows from before the piece then take its new rows in one exact product
+reduce; matrix products (combine_mod) go through exact float64 BLAS
+products on limbs of the coefficients, as wide as the inner dimension
+allows.  UserBases keeps every user's sparse basis rows in flat int64
+arrays, and takes in a piece of broadcasts, of one sender or several,
+with one grouped sum and one small dense elimination per slot for every
+class of users whose residuals agree, payloads and checks included; the
+rows from before the piece then take its new rows in one exact product
 per class.
 """
 from __future__ import annotations
@@ -81,41 +82,26 @@ def nonsingular_mod(matrix) -> bool:
     return n == 0 or rank_mod(m) == n
 
 
-# multiply-adds from which combine_mod takes float64 (BLAS) products: no
-# product of the benchmark's payload workload reaches it, and there BLAS
-# saves no time but raises the peak; simulations with a store from about
-# 20 users and 128 segments on, whose products mostly reach it, are where
-# BLAS starts to be faster (BENCH_17.json)
-BLAS_MIN_PRODUCT = 1 << 19
-
-
 def combine_mod(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """coefficients @ columns mod P, for ints in [0, P), coefficients of
-    any shape (..., n) and at most 2**11 rows of `columns` (n x m).
+    any shape (..., n) and at most 2**21 rows of `columns` (n x m).
 
-    Below BLAS_MIN_PRODUCT multiply-adds two int64 products take the
-    coefficients' 16-bit halves, each sum below 2**58.  From it on, one
-    float64 (BLAS) product per 11-bit limb of the coefficients: a limb
-    times a value below 2**31 stays below 2**42, so every sum of at most
-    2**11 of them stays below 2**53 and is exact.  Besides the result,
-    it takes at most a copy of `columns` and two results' worth of
+    One float64 (BLAS) product per b-bit limb of the coefficients, top
+    limb first, with b = 22 - bit_length(max(n - 1, 1)): a limb times a
+    value below 2**31 stays below 2**(b + 31), so a sum of n of them
+    stays below 2**53 and is exact (Dumas, Giorgi & Pernet, 2008).  That
+    is 2 limbs up to n = 64 and 3 up to n = 2048.  Besides the result,
+    it takes a copy of `columns`, one limb and two results' worth of
     temporaries.
     """
     lead, n = coefficients.shape[:-1], coefficients.shape[-1]
-    if coefficients.size * columns.shape[1] < BLAS_MIN_PRODUCT:
-        out = (coefficients >> 16) @ columns
-        _reduce(out)
-        out <<= 16
-        out += (coefficients & 0xFFFF) @ columns
-        _reduce(out)
-        return out
-    rows = math.prod(lead)
-    limbs = [(coefficients >> shift & 0x7FF).reshape(rows, n).astype(np.float64)
-             for shift in (22, 11, 0)]
-    out = np.zeros((rows, columns.shape[1]), dtype=np.int64)
+    b = 22 - max(n - 1, 1).bit_length()
+    coefficients = coefficients.reshape(math.prod(lead), n)
     columns = columns.astype(np.float64)
-    for limb in limbs:
-        out <<= 11
+    out = np.zeros((len(coefficients), columns.shape[1]), dtype=np.int64)
+    for shift in range((30 // b) * b, -1, -b):  # from the limb that holds bit 30 down
+        limb = (coefficients >> shift & ((1 << b) - 1)).astype(np.float64)
+        out <<= b
         out += (limb @ columns).astype(np.int64)
         _reduce(out)
     return out.reshape(*lead, columns.shape[1])

@@ -94,6 +94,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.users_list or not self.segments_list:
             raise ValueError("users_list and segments_list must be nonempty")
+        # a repeated value would run its grid points again as identical rows
+        for name, values in (("users_list", self.users_list), ("segments_list", self.segments_list)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats {value}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # every grid point is refused here, before any trial runs

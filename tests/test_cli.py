@@ -825,6 +825,13 @@ def test_experiment_rejects_bad_lists(capsys):
         "--trials", "1", "--extra-edges", "0", "--seed", "1",
     )
     assert code == 2
+    # `--users-list 6,6 --segments-list 12,12` ran each trial four times,
+    # printing four identical rows; a repeated value is refused before any trial
+    code, out, err = run_cli(
+        capsys, "experiment", "--users-list", "6,6", "--segments-list", "12,12",
+        "--trials", "2", "--extra-edges", "0", "--seed", "1",
+    )
+    assert (code, out, err) == (2, "", "error: users_list repeats 6\n")
 
 
 def test_console_script_entry_point():

@@ -132,17 +132,19 @@ def test_combine_sparse_matches_dense():
         assert store.combine(np.array(dense, dtype=np.int64)).tolist() == expect
 
 
-@pytest.mark.parametrize("blas_from", [0, 2**62])
-def test_combine_mod_is_exact_at_its_bound(monkeypatch, blas_from):
-    """2048 terms of (P - 1) * (P - 1), the largest sums combine_mod takes,
-    match the Python-int product in 1-D, 2-D and stacked shapes, with zero
-    rows and columns, on the float64 product and on the int64 one."""
-    monkeypatch.setattr(field, "BLAS_MIN_PRODUCT", blas_from)
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 2048, 2049])
+def test_combine_mod_is_exact_at_its_bound(n):
+    """n terms of (P - 1) * (P - 1), the largest sums that one limb width
+    takes, and of (P - 1) * (P - 2), odd limb products in which a rounded
+    float64 sum would show, match the Python-int product in 1-D, 2-D and
+    stacked shapes, with zero rows and columns, on each side of the inner
+    dimensions where the limbs narrow: 2 limbs up to 64 terms, 3 up to
+    2048, then 4."""
     rng = np.random.default_rng(5)
-    n = 2048
-    columns = np.full((n, 3), P - 1, dtype=np.int64)
+    columns = np.full((n, 4), P - 1, dtype=np.int64)
     columns[:, 1] = rng.integers(0, P, n)
     columns[:, 2] = 0
+    columns[:, 3] = P - 2
     for lead in ((), (4,), (2, 3), (0,), (2, 0)):
         coefficients = np.full((*lead, n), P - 1, dtype=np.int64)
         if coefficients.size:

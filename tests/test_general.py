@@ -233,6 +233,11 @@ def test_experiment_config_validation():
         ExperimentConfig((6,), (8, 0), trials=1, extra_edges=0, seed=0)
     with pytest.raises(ValueError, match="need at least 3 users, got 2"):
         ExperimentConfig((6, 2), (8,), trials=1, extra_edges=0, seed=0)
+    # a repeated value would run its grid points again as identical rows
+    with pytest.raises(ValueError, match="^users_list repeats 6$"):
+        ExperimentConfig((6, 8, 6), (12,), trials=1, extra_edges=0, seed=0)
+    with pytest.raises(ValueError, match="^segments_list repeats 12$"):
+        ExperimentConfig((6,), (12, 16, 12), trials=1, extra_edges=0, seed=0)
 
 
 def test_experiment_instances_are_deterministic():
