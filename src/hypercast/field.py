@@ -10,7 +10,8 @@ arrays, and takes in a piece of broadcasts, of one sender or several,
 with one grouped sum and one small dense elimination per slot for every
 class of users whose residuals agree, payloads and checks included; the
 rows from before the piece then take its new rows in one exact product
-per class.
+per class, and a row that the piece empties is a unit at the last slot
+whose pivot it still holds an entry at, or else at the slot that made it.
 """
 from __future__ import annotations
 
@@ -310,11 +311,12 @@ class UserBases:
 
         The rows held from before the piece never feed a residual, so they
         take the class's final new rows once, after the last slot: a row with
-        entries r at its owner's class's pivots drops them and takes r times
-        those rows, in one exact product per class.  Emptied, it is a unit at
-        its last hit, the last slot j with m_j = r_j - sum_{i<j} r_i a_j[i]
-        nonzero, the entry it had at slot j's pivot when slot j came.  The
-        blocks are written back once, each user taking its class's rows.
+        entries r at its owner's class's pivots takes r times those rows, in
+        one exact product per class, which leaves m_j = r_j - sum_{i<j} r_i
+        a_j[i] at slot j's pivot p_j, its entry there when slot j came.  A row
+        emptied in the piece, held or new, is a unit at the last slot j whose
+        p_j it holds m_j or a_j[i] at, or at the slot that made it if later;
+        the pivots' entries then go and each user takes its class's rows.
         """
         W = self.covered.shape[1]
         shift = self.shift
@@ -322,7 +324,6 @@ class UserBases:
         paid = self.payloads is not None
         everyone = np.arange(C)
         pivot = np.full((k, C), width - 1)  # each new row's column; the last for none
-        hit_at = np.full((k, C), -1)  # the last slot that hit each row
         # the block is updated a few slots at a time, so that the update's
         # temporaries stay within _STEP_VALUES
         step = max(1, _STEP_VALUES // block[0].size)
@@ -354,9 +355,7 @@ class UserBases:
             # that entry's multiple of the new row
             a = block[:, everyone, q]
             a[j] = 0
-            hit = a != 0
-            if np.count_nonzero(hit):
-                hit_at[hit] = j
+            if a.any():
                 for span in spans:
                     part = block[span]
                     part += (P - a[span])[:, :, None] * new  # below 2**62 + 2**31
@@ -364,15 +363,18 @@ class UserBases:
                 block[j + 1:, everyone, q] = 0  # the later residuals' entries cancel
             block[j] = new
         made = pivot < width - 1
-        gained = np.zeros((C, width), dtype=bool)  # each class's pivots
-        gained[made.nonzero()[1], pivot[made]] = True
+        slot_at = np.full((C, width), -1)  # the slot of each class's new row pivoted there
+        slot_at[made.nonzero()[1], pivot[made]] = made.nonzero()[0]
+
+        def unit_slot(rows, slots, made_at=-1):  # the slot where each row, if empty, is a unit
+            return np.maximum(np.where(rows != 0, slots, -1).max(axis=-1), made_at)
         # the held rows: those with an entry at a pivot of their owner's class,
         # class after class and in ascending row id, leave the entries; a
         # row's last column marks the entries it keeps beyond the piece's columns
         row, key, value = self.entries
         owner = key >> shift
         place = np.full(self.rows, -1)
-        pick = gained[cls[owner], at]
+        pick = slot_at[cls[owner], at] >= 0
         place[row[pick]] = cls[owner[pick]]
         old = (place >= 0).nonzero()[0]
         old = old[place[old].argsort(kind="stable")]
@@ -384,16 +386,13 @@ class UserBases:
         held = np.zeros((old.size, width), dtype=np.int64)
         held[of, at[mine]] = value[mine]
         self.entries = self.entries[:, ~mine | (at == width - 1)]
-        last_hit = np.empty(old.size, dtype=np.int64)  # the last slot that hit each emptied row
+        when = np.empty(old.size, dtype=np.int64)  # each held row's unit slot
         counts = np.bincount(cls[holder], minlength=C)
         ends = counts.cumsum().tolist()
         for c in counts.nonzero()[0].tolist():
-            slots = made[:, c].nonzero()[0]
-            pivots = pivot[slots, c]
-            # at the class's pivots new row i holds a_j[i] for i < j and 0 for
-            # the others, so a held row with entries r there takes r_j - sum_i
-            # r_i a_j[i] at p_j below, its entry at p_j when slot j came
-            new = block[slots, c]
+            pivots = (slot_at[c] >= 0).nonzero()[0]
+            # new row i holds a_j[i] at p_j for i < j and 0 for the others
+            new = block[slot_at[c, pivots], c]
             # a chunk's rows, product and payloads and combine_mod's two
             # temporaries take about five times its rows by width + L values
             step = max(1, _STEP_VALUES // (5 * new.shape[1]))
@@ -404,10 +403,8 @@ class UserBases:
                 rows += P
                 rows -= product[:, :width]
                 _reduce(rows)
-                hits = rows[:, pivots] != 0
+                when[part] = unit_slot(rows, slot_at[c])
                 rows[:, pivots] = 0  # cancelled against the pivots' 1
-                gone = ~rows.any(axis=1)
-                last_hit[part][gone] = slots[-1 - hits[gone, ::-1].argmax(axis=1)]
                 if paid:  # a held row's payload stays in place, at W + 1 + its id
                     at_rows = W + 1 + old[part]
                     rows = self.payloads[at_rows] + P
@@ -415,9 +412,11 @@ class UserBases:
                     _reduce(rows)
                     self.payloads[at_rows] = rows
         # the new rows, slot after slot and user after user, as their ids go;
-        # each user's are its class's, without the entries at other pivots
-        block[:, :, :width][:, gained] = 0
-        pivot, hit_at, made = pivot[:, cls], hit_at[:, cls], made[:, cls]
+        # each user's are its class's, without the entries a_j[i] at other
+        # pivots once they give its unit slot
+        new_when = unit_slot(block[:, :, :width], slot_at, np.arange(k)[:, None])
+        block[:, :, :width][:, slot_at >= 0] = 0
+        pivot, new_when, made = pivot[:, cls], new_when[:, cls], made[:, cls]
         slot, user = made.nonzero()
         new = block[slot, cls[user]]
         ids = self.rows + np.arange(slot.size)
@@ -435,10 +434,9 @@ class UserBases:
         rows = np.concatenate((held, new[:, :width]))
         ids = np.concatenate((old, ids))
         user = np.concatenate((holder, user))
+        when = np.concatenate((when, new_when[made]))
         empty = ~rows.any(axis=1)
         if np.count_nonzero(empty):
-            # each unit's slot: the last that hit its row, or the one that made it
-            when = np.concatenate((last_hit, np.maximum(hit_at[made], slot)))
             empty = empty.nonzero()[0]
             empty = empty[when[empty].argsort(kind="stable")]
             what = np.concatenate((self.pivot[old], coordinate))

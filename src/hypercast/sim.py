@@ -153,15 +153,7 @@ def run_schedule(
         nonlocal open_edges
         senders = [b.sender for b in pending]
         vectors = np.array([b.coefficients for b in pending])
-        if vectors.dtype != np.int64:  # floats, strings or ints beyond int64: value by value
-            whole = [all(isinstance(c, (int, np.integer)) for c in b.coefficients) for b in pending]
-            if not all(whole):  # the slots before the first that is not go in, then it is refused
-                j = whole.index(False)
-                i, bad = len(records) + j, pending[j].coefficients
-                del pending[j:]
-                if pending:
-                    deliver()
-                raise ValueError(f"slot {i}: coefficients {bad!r} are not all integers")
+        if vectors.dtype != np.int64:  # ints beyond int64 or of other widths: value by value
             vectors = np.array([[int(c) % P for c in b.coefficients] for b in pending], dtype=np.int64)
         vectors %= P
         first = len(records)
@@ -199,6 +191,9 @@ def run_schedule(
                 problem = f"slot {i}: sender {b.sender} outside 1..{V}"
             elif len(b.coefficients) != W:
                 problem = f"slot {i}: {len(b.coefficients)} coefficients for {W} segments"
+            elif not all(t is not bool and issubclass(t, (int, np.integer))
+                         for t in set(map(type, b.coefficients))):  # numpy reads a bool as an int
+                problem = f"slot {i}: coefficients {b.coefficients!r} are not all integers"
             if pending and (problem or b.sender != pending[-1].sender and len(pending) > bases.shared):
                 deliver()
             if problem:

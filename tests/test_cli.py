@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -275,20 +276,26 @@ def test_dbqt_run_plan_and_transcript_bytes_are_pinned(capsys, tmp_path):
     ]
 
 
-def test_dbqt_run_where_rows_join_at_their_first_hit_is_pinned(capsys, tmp_path):
+@pytest.mark.parametrize("users, segments, digests", [
+    (40, 512, ["1baafa7c021336a2898567b3e3dcbcf3e0432ecef2814c2bd250961eb1b76df2",
+               "c19f0186cdf1da568008a7d59d7eb2b8d3399de2b24b6f111c9ce38e58b54c1d"]),
+    (12, 256, ["1184a0daeb03fdc21dda2cc98e42f5f03a4b06c08556768f97cc07bc869f6d73",
+               "cbac4b676495f87ecb3f11201562add8b9680c7c77a21dccec4953af1c179042"]),
+])
+def test_dbqt_run_where_rows_join_at_their_first_hit_is_pinned(capsys, tmp_path, users, segments, digests):
     """At 40 users and 512 segments most pieces of the dbqt run have more
     rows from before them than their budget, which once held each such row
-    from the first slot that hit it; the bytes stay those of that run."""
+    from the first slot that hit it; at 12 users and 256 segments its
+    blocks reach 103 segments, wider than in any other pinned run.  The
+    bytes stay those of those runs."""
     path, transcript = tmp_path / "inst.json", tmp_path / "tr.json"
-    run_cli(capsys, "gen", "--users", "40", "--segments", "512", "--seed", "1", "--out", str(path))
+    run_cli(capsys, "gen", "--users", str(users), "--segments", str(segments), "--seed", "1",
+            "--out", str(path))
     code, out, _ = run_cli(
         capsys, "run", "--in", str(path), "--strategy", "dbqt", "--transcript", str(transcript)
     )
     assert code == 0
-    assert [sha256(out), sha256(transcript.read_text())] == [
-        "1baafa7c021336a2898567b3e3dcbcf3e0432ecef2814c2bd250961eb1b76df2",
-        "c19f0186cdf1da568008a7d59d7eb2b8d3399de2b24b6f111c9ce38e58b54c1d",
-    ]
+    assert [sha256(out), sha256(transcript.read_text())] == digests
 
 
 def test_analyze_tree_fixture(capsys):
@@ -839,7 +846,7 @@ def test_console_script_entry_point():
         [sys.executable, "-c",
          "from hypercast.cli import main_script; main_script()"],
         input="", capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
     )
     assert proc.returncode == 1  # no subcommand counts as a usage error
     assert proc.stderr.startswith("usage: hypercast")

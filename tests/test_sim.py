@@ -172,14 +172,18 @@ def test_broadcast_validation_sender_length_and_span(tree_topology):
     (Broadcast(1.0, (1, 0, 0, 0)), "slot 1: sender 1.0 is not an integer"),
     (Broadcast(1, (1.5, 0, 0, 0)), "slot 1: coefficients (1.5, 0, 0, 0) are not all integers"),
     (Broadcast(1, ("1", 0, 0, 0)), "slot 1: coefficients ('1', 0, 0, 0) are not all integers"),
-    # an int beyond int64 sends the run down the value-by-value path
+    # a float beside an int beyond int64
     (Broadcast(1, (P * 2**40, 1.5, 0, 0)),
      f"slot 1: coefficients ({P * 2**40}, 1.5, 0, 0) are not all integers"),
+    # bools, which numpy would read as 1 and 0, alone or beside ints
+    (Broadcast(1, (True, False, False, False)),
+     "slot 1: coefficients (True, False, False, False) are not all integers"),
+    (Broadcast(1, [False, 1, 0, 0]), "slot 1: coefficients [False, 1, 0, 0] are not all integers"),
 ])
 def test_senders_and_coefficients_must_be_integers(tree_topology, bad, message):
-    """A sender or coefficient that is not an int is refused at its slot,
-    mid-run too, not read as the int it casts to; a slot before it that
-    fails is refused first."""
+    """A sender or coefficient that is not an int, a bool included, is
+    refused at its slot, mid-run too, not read as the int it casts to; a
+    slot before it that fails is refused first."""
     ok, lacking = Broadcast(1, (1, 0, 0, 0)), Broadcast(1, (0, 1, 0, 0))
     with pytest.raises(ValueError) as caught:
         run_schedule(tree_topology, [ok, bad])
@@ -902,6 +906,30 @@ def test_a_long_run_of_repeats_between_gains_hits_a_held_row_at_its_last_gain():
             units = slot_units(topo, schedule)
             assert units[102] == [1, 2, 3] and [u for u in units if u] == [[1], [1, 2, 3]]
             check_hand_built_run(topo, schedule)
+
+
+@pytest.mark.parametrize("first, units", [
+    # e2 + y e3 gives the row an entry at 3 by fill-in alone, which e3 clears
+    ({1: 1, 2: X}, [[1], [], [1, 2, 3]]),
+    # e2 + y e3 empties the row, cancelling its entry at 3, so e3 misses it
+    ({1: 1, 2: X, 3: X * Y}, [[1], [1], [2, 3]]),
+])
+def test_a_new_row_decodes_at_its_last_hit(first, units):
+    """The held rows' two cases above with user 1 sending all three
+    broadcasts, so one run in one piece with RUN_ALLOWANCE and without it
+    (W = 12 keeps it within the budget): user 3's row from slot 0 is a new
+    row of the piece that hits it, and decodes at its last hit."""
+    topo = held_topology(12)
+    schedule = [unit_broadcast(1, 12, first), unit_broadcast(1, 12, {2: 1, 3: Y}),
+                unit_broadcast(1, 12, {3: 1})]
+    for allowance in (RUN_ALLOWANCE, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "RUN_ALLOWANCE", allowance)
+            assert count_pieces(topo, schedule)[1] == [3]
+            assert slot_units(topo, schedule) == units
+            check_hand_built_run(topo, schedule)
+    assert dict_basis_run(topo, schedule[:2])[1][2] == units[1]  # user 3 alone decodes at slot 1
+    assert dict_basis_run(topo, schedule)[1][2] == [1, 2, 3]
 
 
 @settings(max_examples=40, deadline=None)
