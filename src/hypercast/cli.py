@@ -13,6 +13,7 @@ import sys
 from .dbqt import NotQuasiTreeError, dbqt_schedule, ordered_representatives
 from .formats import (
     dumps_document,
+    dumps_documents,
     dumps_instance,
     experiment_csv,
     instance_digest,
@@ -187,12 +188,12 @@ def cmd_run(args) -> int:
         "payload_check": args.payload_check or None,
         **extra,
     }
-    if args.transcript:
-        with open(args.transcript, "w") as fh:
-            fh.write(dumps_document(transcript_document(transcript)))
-    if args.plan:
-        with open(args.plan, "w") as fh:
-            fh.write(dumps_document(plan_doc))
+    files = [(args.plan, plan_doc)] if args.plan else []
+    files += [(args.transcript, transcript_document(transcript))] if args.transcript else []
+    texts = dumps_documents(*(file_doc for _, file_doc in files))  # shared rows are encoded once
+    for path, _ in files:
+        with open(path, "w") as fh:
+            fh.write(next(texts))
     _emit(dumps_document(doc), None)
     return 0
 

@@ -14,6 +14,7 @@ leaves every user able to decode everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .field import P, nonsingular_mod
@@ -108,12 +109,14 @@ def ordered_representatives(h: Hypergraph) -> tuple[int, ...]:
 
 
 def vandermonde(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """n x m power matrix over GF(P): entry (k, j) is k**(j-1), k in 1..n."""
+    """n x m power matrix over GF(P): entry (k, j) is k**(j-1), k in 1..n,
+    each row the first m of the running products 1, k, k * k % P, ... (< 2**62)."""
     if n < 1 or n >= P:
         raise ValueError(f"row count must be in 1..{P - 1}, got {n}")
     if m < 0 or m > n:
         raise ValueError(f"column count must be in 0..{n}, got {m}")
-    return tuple(tuple(pow(k, j, P) for j in range(m)) for k in range(1, n + 1))
+    return tuple(tuple(accumulate(repeat(k, m - 1), lambda x, y: x * y % P, initial=1))[:m]
+                 for k in range(1, n + 1))
 
 
 def decodable_with(block_size: int, delta: int, held_positions) -> bool:

@@ -7,13 +7,15 @@ sort_keys=True) + "\n", so equal instances always produce identical
 bytes; the digest hashes the canonical form without metadata.  Plan
 and transcript documents number slots from 0 and phases from 1 by their
 position in the plan or transcript.
-dumps_document writes that form with the C JSON encoder: before Python
-3.13, json.dumps indents with a pure-Python encoder that is much slower.
+dumps_documents writes that form with the C JSON encoder (json.dumps indents
+in slow pure Python before 3.13), a depth at a time, and a shared row once.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
@@ -24,11 +26,14 @@ from .topology import StorageTopology, _integer
 FORMAT_VERSION = 1
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
+_CHUNK = 16  # lists of scalars per C call: no one string holds a whole column
+_LEVELS: dict[int, tuple] = {}  # per depth: the C encode, the item separator, the closing break
 
 __all__ = [
     "FORMAT_VERSION",
     "instance_document",
     "dumps_document",
+    "dumps_documents",
     "dumps_instance",
     "parse_instance",
     "loads_instance",
@@ -58,53 +63,70 @@ def instance_document(topology: StorageTopology, metadata: Mapping | None = None
     return doc
 
 
-def dumps_document(doc: dict) -> str:
-    """The canonical text of a document: exactly
+def dumps_documents(*docs):
+    """Yield the canonical text of each document in turn: exactly
     ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
-    The C encoder does not indent (before Python 3.13), so here Python
-    walks the containers that hold other containers.  Each container of
-    scalars is one call to the C encoder, whose item separator carries
-    the newline and indent of the container's depth; so are the keys and
-    scalar values of each dict that holds a container.
+    The C encoder does not indent (before Python 3.13), so Python walks the
+    documents depth by depth, where the C encoder, its item separator the
+    newline and indent of the depth, writes every scalar (a dict's value
+    after its key) in one call, the lists of scalars in one call per _CHUNK,
+    and every dict's keys, sorted and each line ending in 0, in one call; no
+    encoded scalar holds a newline, so the separators split these exactly.
+    A list of scalars that an earlier document held at the same depth keeps
+    its text: it is the same object, as every document stays alive here.
     """
-    levels: list[tuple] = []  # per depth: the C encode, the item break, the closing break
+    memo: dict[tuple[int, int], str] = {}  # (depth, id) of a list of scalars: its text
+    for doc in docs:
+        levels, nodes, keys, children = [], [doc], [""], iter(())  # keys: each node's line so far
+        while nodes:
+            depth = len(levels)
+            if depth > sys.getrecursionlimit():  # as deep as the stdlib goes, or circular
+                raise RecursionError(f"document nested more than {sys.getrecursionlimit()} deep")
+            if depth not in _LEVELS:
+                sep = ",\n" + _INDENT * (depth + 1)
+                encode = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+                _LEVELS[depth] = encode, sep, "\n" + _INDENT * depth
+            encode, sep, outer = _LEVELS[depth]
+            texts, scalars, lists, nested, below, above = [None] * len(nodes), [], [], [], [], []
+            for i, v in enumerate(nodes):
+                if not isinstance(v, _CONTAINERS) or not v:
+                    scalars.append(i)
+                elif isinstance(v, dict) or isinstance(v[0], _CONTAINERS):
+                    nested.append(i)
+                elif (depth, id(v)) in memo:
+                    texts[i] = keys[i] + memo[depth, id(v)]
+                else:
+                    lists.append(i)
+            for i, text in zip(scalars, encode([nodes[i] for i in scalars])[1:-1].split(sep)):
+                texts[i] = keys[i] + text
+            for chunk in (lists[k:k + _CHUNK] for k in range(0, len(lists), _CHUNK)):
+                text = encode([nodes[i] for i in chunk])
+                if "{" in text or text.count("[") != len(chunk) + 1:  # a container or a string's "["
+                    nested += chunk
+                    continue
+                for i, body in zip(chunk, text[2:-2].split("]" + sep + "[")):
+                    memo[depth, id(nodes[i])] = body = "[" + sep[1:] + body + outer + "]"
+                    texts[i] = keys[i] + body
+            lines = encode([dict.fromkeys(nodes[i], 0) for i in nested if isinstance(nodes[i], dict)])
+            lines = iter(lines[2:-3].replace("0}" + sep + "{", "0" + sep).split("0" + sep))
+            for v in map(nodes.__getitem__, nested):
+                below += [x for _, x in sorted(v.items())] if isinstance(v, dict) else v
+                above += [next(lines) for _ in v] if isinstance(v, dict) else [""] * len(v)
+            levels.append((nodes, keys, texts, nested, sep, outer))
+            nodes, keys = below, above
+        while levels:  # from the deepest, each container joins its children's texts
+            nodes, keys, texts, nested, sep, outer = levels.pop()
+            for i in nested:
+                o, c = "{}" if isinstance(nodes[i], dict) else "[]"
+                texts[i] = f"{keys[i]}{o}{sep[1:]}{sep.join(islice(children, len(nodes[i])))}{outer}{c}"
+            children = iter(texts)
+        yield texts.pop() + "\n"  # the frame keeps no copy of a text it has yielded
 
-    def write(value, depth: int) -> str:
-        if depth == len(levels):  # the first container this deep
-            inner = "\n" + _INDENT * (depth + 1)
-            encoder = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
-            levels.append((encoder.encode, inner, "\n" + _INDENT * depth))
-        encode, inner, outer = levels[depth]
-        if not isinstance(value, _CONTAINERS) or not value:
-            return encode(value)  # a scalar, [] or {}
-        if isinstance(value, dict):
-            nested = [k for k, v in value.items() if isinstance(v, _CONTAINERS)]
-            if nested:
-                # one C call writes every key, and every scalar value, one
-                # item a line in the order of sorted(value.items()): it
-                # sorts the same keys in the same order, and its strings
-                # escape newlines; a container goes in place of its 0
-                lines = encode({**value, **dict.fromkeys(nested, 0)})[1:-1].split("," + inner)
-                body = [
-                    line[:-1] + write(v, depth + 1) if isinstance(v, _CONTAINERS) else line
-                    for line, (_, v) in zip(lines, sorted(value.items()))
-                ]
-                return "{" + inner + ("," + inner).join(body) + outer + "}"
-            text = encode(value)
-        else:
-            # a list of scalars costs less to encode than to scan; a
-            # second bracket in its text comes from a container in it,
-            # or from a string, so only then is it scanned
-            text = "" if isinstance(value[0], _CONTAINERS) else encode(value)
-            if not text or (text.find("[", 1) > 0 or "{" in text) and any(
-                isinstance(v, _CONTAINERS) for v in value
-            ):
-                body = [write(v, depth + 1) for v in value]
-                return "[" + inner + ("," + inner).join(body) + outer + "]"
-        return text[0] + inner + text[1:-1] + outer + text[-1]
 
-    return write(doc, 0) + "\n"
+def dumps_document(doc) -> str:
+    """The canonical text of one document (see dumps_documents)."""
+    return next(dumps_documents(doc))
 
 
 def dumps_instance(topology: StorageTopology, metadata: Mapping | None = None) -> str:
@@ -199,7 +221,7 @@ def plan_document(plan: QuasiTreePlan) -> dict:
             {
                 "slot": t,
                 "sender": b.sender,
-                "coefficients": list(b.coefficients),
+                "coefficients": b.coefficients,
             }
             for t, b in enumerate(plan.schedule)
         ],
@@ -212,7 +234,7 @@ def transcript_document(transcript: Transcript) -> dict:
         {
             "slot": t,
             "sender": rec.sender,
-            "coefficients": list(rec.coefficients),
+            "coefficients": rec.coefficients,
             "ranks": list(rec.ranks),
             "remaining_edges": rec.remaining_edges,
         }

@@ -146,13 +146,15 @@ def run_schedule(
     bases = UserBases(stored, None if store is None else store.matrix.T)
     initial_ranks = tuple(stored.sum(axis=1).tolist())
     records: list[SlotRecord] = []
-    pending: list[Broadcast] = []  # the slots not yet delivered
+    pending, plain = [], []  # the slots not yet delivered, and is each one's row a tuple of ints
 
     def deliver():
         """Deliver the pending slots."""
         nonlocal open_edges
         senders = [b.sender for b in pending]
         vectors = np.array([b.coefficients for b in pending])
+        # a record keeps a row's own tuple of ints in [0, P) (as unsigned a negative int is above P)
+        kept = np.logical_and(plain, vectors.dtype == np.int64 and (vectors.view("u8") < P).all(1))
         if vectors.dtype != np.int64:  # ints beyond int64 or of other widths: value by value
             vectors = np.array([[int(c) % P for c in b.coefficients] for b in pending], dtype=np.int64)
         vectors %= P
@@ -167,7 +169,7 @@ def run_schedule(
                     f"slot {i}: sender {sender}'s payload is not the store's combination"
                 ) from None
             raise ValueError(f"slot {i}: sender {sender} cannot form these coefficients") from None
-        for sender, dense, (ranks, decoded) in zip(senders, vectors.tolist(), slots):
+        for b, own, dense, (ranks, decoded) in zip(pending, kept, vectors, slots):
             for c in decoded:
                 known[c] += 1
                 if known[c] == V and c in edge_of:
@@ -175,8 +177,9 @@ def run_schedule(
                     left[e] -= 1
                     if not left[e]:
                         open_edges -= 1
-            records.append(SlotRecord(sender, tuple(dense), ranks, open_edges))
-        pending.clear()
+            row = b.coefficients if own else tuple(dense.tolist())
+            records.append(SlotRecord(b.sender, row, ranks, open_edges))
+        del pending[:], plain[:]
 
     def walk(broadcasts: Iterable[Broadcast]):
         """The one loop over slots: the pending slots are delivered at an
@@ -191,14 +194,15 @@ def run_schedule(
                 problem = f"slot {i}: sender {b.sender} outside 1..{V}"
             elif len(b.coefficients) != W:
                 problem = f"slot {i}: {len(b.coefficients)} coefficients for {W} segments"
-            elif not all(t is not bool and issubclass(t, (int, np.integer))
-                         for t in set(map(type, b.coefficients))):  # numpy reads a bool as an int
+            elif (types := set(map(type, b.coefficients))) - {int} and not all(  # numpy takes bools
+                    t is not bool and issubclass(t, (int, np.integer)) for t in types):
                 problem = f"slot {i}: coefficients {b.coefficients!r} are not all integers"
             if pending and (problem or b.sender != pending[-1].sender and len(pending) > bases.shared):
                 deliver()
             if problem:
                 raise ValueError(problem)
             pending.append(b)
+            plain.append(type(b.coefficients) is tuple and types <= {int})
         if pending:
             deliver()
 

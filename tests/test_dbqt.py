@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercast import Hypergraph, StorageTopology
 from hypercast.dbqt import (
@@ -113,6 +113,20 @@ def test_vandermonde_values():
         vandermonde(0, 0)
     with pytest.raises(ValueError):
         vandermonde(3, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from([0, n]) | st.integers(0, n))
+))
+@example((300, 300))
+@example((300, 0))
+@example((1, 1))
+def test_vandermonde_is_the_power_matrix(size):
+    """The running products equal the powers pow(k, j, P) entry by entry."""
+    n, m = size
+    powers = tuple(tuple(pow(k, j, P) for j in range(m)) for k in range(1, n + 1))
+    assert vandermonde(n, m) == powers
 
 
 def test_augmented_determinant_hand_value():

@@ -2,15 +2,18 @@
 were produced directly with the standard json module."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypercast import StorageTopology, dbqt_schedule
+from hypercast import StorageTopology, cli, dbqt_schedule
 from hypercast.formats import (
     dumps_document,
+    dumps_documents,
     dumps_instance,
     experiment_csv,
     instance_digest,
@@ -290,6 +293,44 @@ def test_dumps_document_is_the_stdlib_canonical_form(doc):
     assert dumps_document(doc) == _stdlib_canonical(doc)
 
 
+def _lists_by_depth(doc, depth=0):
+    """Every list and tuple in doc, each with its depth (doc's own is 0)."""
+    if isinstance(doc, (list, tuple)):
+        yield doc, depth
+    if isinstance(doc, (list, tuple, dict)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _lists_by_depth(value, depth + 1)
+
+
+@st.composite
+def _document_pairs(draw):
+    """Two documents, the second maybe the first itself or holding some of
+    the first's own list objects, each at its depth there or one off."""
+    a = draw(_documents)
+    held = list(_lists_by_depth(a))
+    if not held or draw(st.booleans()):
+        return a, draw(_documents | st.just(a))
+    b = []
+    for lst, depth in draw(st.lists(st.sampled_from(held), min_size=1, max_size=4)):
+        for _ in range(max(depth + draw(st.sampled_from([-1, 0, 1])), 1) - 1):
+            lst = [lst]  # b itself adds one depth
+        b.append(lst)
+    return a, b
+
+
+_ROW = [1, 2]  # one list object, at depth 1 in the first document below
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document_pairs())
+@example(({"row": _ROW}, [_ROW, [_ROW]]))  # at the same depth, then one deeper
+@example(({"row": _ROW}, {"a": {"b": _ROW}}))  # one deeper only
+@example(({"row": (3, [4])}, [{"row": (3, [4])}]))  # equal, not the same, and nested
+def test_dumps_documents_writes_each_document_canonically(pair):
+    a, b = pair
+    assert list(dumps_documents(a, b)) == [_stdlib_canonical(a), _stdlib_canonical(b)]
+
+
 @pytest.mark.parametrize("doc", [
     {(1, 2): 3},
     {(1, 2): [3]},
@@ -304,7 +345,7 @@ def test_dumps_document_refuses_what_the_stdlib_refuses(doc):
         dumps_document(doc)
 
 
-def test_dumps_document_does_not_run_the_pure_python_encoder(monkeypatch, tree_topology):
+def test_dumps_document_does_not_run_the_pure_python_encoder(monkeypatch, tmp_path, tree_topology):
     plan = dbqt_schedule(tree_topology)
     docs = [
         instance_document(tree_topology, {"seed": 1}),
@@ -320,3 +361,13 @@ def test_dumps_document_does_not_run_the_pure_python_encoder(monkeypatch, tree_t
     # whose C encoder cannot indent
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     assert [dumps_document(doc) for doc in docs] == expected
+    # the plan and the transcript, written in one call, share their rows
+    assert docs[2]["slots"][0]["coefficients"] is docs[1]["schedule"][0]["coefficients"]
+    assert list(dumps_documents(*docs[1:])) == expected[1:]
+    # and so does `run`, which writes both files through that call
+    path, plan_path, transcript_path = (tmp_path / n for n in ("in.json", "plan.json", "tr.json"))
+    write_instance(path, tree_topology)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--in", str(path), "--plan", str(plan_path),
+                         "--transcript", str(transcript_path)]) == 0
+    assert [plan_path.read_text(), transcript_path.read_text()] == expected[1:]

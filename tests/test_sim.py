@@ -11,7 +11,9 @@ former per-user design.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -38,6 +40,7 @@ from hypercast.sim import (
     verify_payload_run,
 )
 from hypercast.dbqt import dbqt_schedule
+from hypercast.formats import dumps_document, transcript_document
 from hypercast.general import dbqt_general
 from hypercast.generators import random_instance
 
@@ -958,6 +961,42 @@ def test_coefficients_beyond_int64_and_negative_act_as_their_residues(tree_topol
     mixed = [Broadcast(b.sender, tuple(c - P if c else P * 2**40 for c in b.coefficients))
              for b in schedule]
     assert run_schedule(tree_topology, mixed) == expected
+
+
+def test_records_keep_the_rows_of_a_dbqt_plan():
+    """A tuple of ints in [0, P), as every planner here makes, is the
+    record's row itself, so a plan and its transcript share it."""
+    topo = random_instance(8, 30, 0, 3, 1)
+    schedule = dbqt_schedule(topo).schedule
+    records = run_schedule(topo, schedule).slots
+    assert all(rec.coefficients is b.coefficients for rec, b in zip(records, schedule, strict=True))
+
+
+# sha256 of the transcript of random_instance(8, 30, 0, 3, 1)'s dbqt plan,
+# taken when every record held a reduced copy of its row
+_PLAN_TRANSCRIPT_SHA256 = "f6c1951a8b1c9faec6fb3abc40df18d0e431d667206a1cd90925067c7c4f780a"
+
+
+@pytest.mark.parametrize("alter", [
+    list,
+    lambda row: tuple(map(np.int64, row)),
+    lambda row: (row[0] - P,) + row[1:],  # a negative value
+    lambda row: row[:-1] + (row[-1] + P,),  # a value at or above P
+    lambda row: (row[0] + P * 2**40,) + row[1:],  # a value beyond int64
+], ids=["list", "int64", "negative", "at-least-P", "beyond-int64"])
+def test_records_hold_a_fresh_row_of_residues_for_any_other_row(alter):
+    """Any other row is recorded as a new tuple of Python ints in [0, P),
+    which json writes, and the transcript's bytes stay those of the plan's
+    own rows."""
+    topo = random_instance(8, 30, 0, 3, 1)
+    schedule = [Broadcast(b.sender, alter(b.coefficients)) for b in dbqt_schedule(topo).schedule]
+    transcript = run_schedule(topo, schedule)
+    for rec, b in zip(transcript.slots, schedule, strict=True):
+        assert type(rec.coefficients) is tuple and rec.coefficients is not b.coefficients
+        assert all(type(c) is int and 0 <= c < P for c in rec.coefficients)
+        json.dumps(rec.coefficients)
+    text = dumps_document(transcript_document(transcript))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PLAN_TRANSCRIPT_SHA256
 
 
 def test_completion_broadcasts_what_is_missing(tree_topology):
