@@ -82,29 +82,23 @@ def ordered_representatives(h: Hypergraph) -> tuple[int, ...]:
     incident = {v: frozenset(e.vertices for e in h.incident(v)) for v in h.vertices}
     all_edges = h.edge_sets
 
-    def pick(cands: list[int]) -> int:
-        maximal = [
-            v for v in cands
-            if not any(incident[v] < incident[u] for u in cands if u != v)
-        ]
-        return min(maximal)
+    def pick(cands: frozenset[int] | set[int]) -> int:
+        # a vertex whose edges strictly contain v's lies on each of v's
+        # edges, so only the members of v's smallest edge can dominate it
+        return min(v for v in cands if not any(
+            u in cands and incident[v] < incident[u] for u in min(incident[v], key=len, default=())))
 
-    first = pick(sorted(h.vertices))
+    first = pick(h.vertices)
     order = [first]
     covered = set(incident[first])
-    reached = set().union(*covered)  # the vertices on covered edges
+    frontier = set().union(*covered)  # reached vertices, less some whose edges are all covered
     while covered != all_edges:
-        chosen = set(order)
-        eligible = [
-            v for v in sorted(h.vertices)
-            if v not in chosen
-            and v in reached
-            and not incident[v] <= covered
-        ]
-        nxt = pick(eligible)
+        # a chosen vertex's edges are covered, and stay so
+        frontier = {v for v in frontier if not incident[v] <= covered}
+        nxt = pick(frontier)
         order.append(nxt)
         covered |= incident[nxt]
-        reached.update(*incident[nxt])
+        frontier.update(*incident[nxt])
     return tuple(order)
 
 

@@ -255,9 +255,10 @@ class UserBases:
             # no entry sits at a pivot, so row r's multiple is the slot's
             # coefficient at r's pivot; each user's sum has fewer than W terms
             # below P, exact in float64.  The products go in groups of slots
-            # that the budget holds.
+            # that the coefficient part of the budget holds: the entries and
+            # one V x W residual, or RUN_ALLOWANCE if that is more.
             where = (key[terms] >> shift) * (k * width) + at[terms]
-            step = max(1, budget // max(terms.size, 1))
+            step = max(1, max(self.entries.size + V * W, RUN_ALLOWANCE) // max(terms.size, 1))
             spent = functools.reduce(np.add, (
                 np.bincount(
                     (np.arange(j, min(j + step, k))[:, None] * width + where).ravel(),

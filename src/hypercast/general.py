@@ -42,14 +42,16 @@ def spanning_quasi_tree(h: Hypergraph) -> Reduction:
     """Strip removable edges (ascending weight, then lexicographic vertex
     set) until every remaining edge is a bridge.
 
-    One ascending pass suffices: an edge that is a bridge stays one as
-    other edges go, so a skipped edge never becomes removable later.
+    One ascending pass over the edges that are not bridges of `h`
+    suffices: an edge that is a bridge stays one as other edges go, so a
+    skipped edge never becomes removable later.
     """
     if not h.is_connected():
         raise ValueError("spanning quasi-tree reduction needs a connected hypergraph")
     current = h
     removed: list[Edge] = []
-    for e in sorted(h.edges, key=lambda e: (e.weight, e.key)):
+    cyclic = (e for e in h.edges if h.connected_without(e.vertices))
+    for e in sorted(cyclic, key=lambda e: (e.weight, e.key)):
         if current.connected_without(e.vertices):
             removed.append(e)
             current = current.without_edge(e.vertices)

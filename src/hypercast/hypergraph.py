@@ -71,7 +71,7 @@ class MinCut:
 class Hypergraph:
     """Immutable weighted hypergraph; edges are (vertex set, weight) pairs."""
 
-    __slots__ = ("_vertices", "_weights", "_edges")
+    __slots__ = ("_vertices", "_weights", "_edges", "_structure")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[Iterable[int], int]] = ()):
         vs = frozenset(_integer(v, "vertex id") for v in vertices)
@@ -89,8 +89,18 @@ class Hypergraph:
             if len(eset) < 2:
                 raise ValueError(f"edge needs at least 2 vertices, got {sorted(eset)}")
             weights[eset] = weights.get(eset, 0) + w
-        self._vertices = vs
-        self._weights = weights
+        self._fill(vs, weights)
+
+    @classmethod
+    def _checked(cls, vertices: frozenset[int], weights: dict[frozenset[int], int]) -> Hypergraph:
+        """The hypergraph on `vertices` with these merged edge weights,
+        which __init__ would check, built without checking them again."""
+        h = object.__new__(cls)
+        h._fill(vertices, weights)
+        return h
+
+    def _fill(self, vertices: frozenset[int], weights: dict[frozenset[int], int]):
+        self._vertices, self._weights, self._structure = vertices, weights, None
         self._edges = tuple(
             Edge._checked(e, w) for e, w in sorted(weights.items(), key=lambda kv: _edge_key(kv[0]))
         )
@@ -124,7 +134,8 @@ class Hypergraph:
     def incident(self, v: int) -> tuple[Edge, ...]:
         """All edges containing v, in deterministic order."""
         self._check_vertex(v)
-        return tuple(e for e in self._edges if v in e.vertices)
+        at, around, _components, _bridges = self._analysis()
+        return tuple(self._edges[j - len(at)] for j in around[at[v]])
 
     def degree(self, v: int) -> tuple[int, int]:
         """(edge count, total weight) over the edges containing v."""
@@ -141,7 +152,7 @@ class Hypergraph:
         key = frozenset(vset)
         if key not in self._weights:
             raise ValueError(f"no edge on {sorted(key)}")
-        return Hypergraph(self._vertices, [kv for kv in self._weights.items() if kv[0] != key])
+        return Hypergraph._checked(self._vertices, {e: w for e, w in self._weights.items() if e != key})
 
     def induced(self, vsub: Iterable[int]) -> "Hypergraph":
         """Induced sub-hypergraph: edges are intersections with vsub.
@@ -166,54 +177,74 @@ class Hypergraph:
 
     # -- connectivity ---------------------------------------------------
 
-    def _union(self, skip: frozenset[int] | None = None):
-        """Union-find over every edge except the one on `skip`: returns
-        (find, number of components)."""
-        parent = {v: v for v in self._vertices}
-        parts = len(parent)
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self._edges:
-            if e.vertices == skip:
-                continue
-            it = iter(e.vertices)
-            first = find(next(it))
-            for v in it:
-                root = find(v)
-                if root != first:
-                    parent[root] = first
-                    parts -= 1
-        return find, parts
+    def _analysis(self):
+        """(node of each vertex, each node's neighbours, components,
+        bridges) of the vertex-edge incidence graph, whose nodes are the
+        vertices in ascending order and then the edges; made on first use
+        and kept.  One iterative DFS finds the components and the bridges
+        (Hopcroft & Tarjan, CACM 1973): an edge is a bridge, its removal
+        splitting its component, iff its node is a cut vertex, that is iff
+        some DFS child's subtree reaches no node discovered before it."""
+        if self._structure is None:
+            vs, edges = sorted(self._vertices), self._edges
+            n = len(vs)
+            at = {v: i for i, v in enumerate(vs)}
+            around = [[] for _ in vs]
+            for j, e in enumerate(edges, n):
+                around.append([at[v] for v in e.vertices])
+                for i in around[j]:
+                    around[i].append(j)
+            order = [0] * len(around)  # each node's discovery number, 0 until found
+            low = order[:]  # the least one its DFS subtree reaches
+            count, components, bridges = 0, [], set()
+            for root in range(n):
+                if order[root]:
+                    continue
+                count += 1
+                order[root] = low[root] = count
+                members, stack = [vs[root]], [(root, -1, iter(around[root]))]
+                while stack:
+                    node, parent, it = stack[-1]
+                    for nxt in it:
+                        if not order[nxt]:
+                            count += 1
+                            order[nxt] = low[nxt] = count
+                            stack.append((nxt, node, iter(around[nxt])))
+                            if nxt < n:
+                                members.append(vs[nxt])
+                            break
+                        if nxt != parent and order[nxt] < low[node]:
+                            low[node] = order[nxt]
+                    else:
+                        stack.pop()
+                        if parent >= 0:
+                            low[parent] = min(low[parent], low[node])
+                            if parent >= n and low[node] >= order[parent]:
+                                bridges.add(edges[parent - n].vertices)
+                components.append(frozenset(members))
+            self._structure = at, around, tuple(components), frozenset(bridges)
+        return self._structure
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components, sorted by smallest member."""
-        find, _ = self._union()
-        groups: dict[int, set[int]] = {}
-        for v in self._vertices:
-            groups.setdefault(find(v), set()).add(v)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+        return self._analysis()[2]
 
     def is_connected(self) -> bool:
-        return self._union()[1] == 1
+        return len(self._analysis()[2]) == 1
 
     def connected_without(self, vset: Iterable[int]) -> bool:
         """True iff the hypergraph stays connected without the edge on
-        `vset`; one union-find pass, no new hypergraph."""
+        `vset`: it is connected and that edge is not a bridge."""
         key = frozenset(vset)
         if key not in self._weights:
             raise ValueError(f"no edge on {sorted(key)}")
-        return self._union(key)[1] == 1
+        _at, _around, components, bridges = self._analysis()
+        return len(components) == 1 and key not in bridges
 
     def is_quasi_tree(self) -> bool:
         """Connected, and removing any single edge disconnects the graph."""
-        if not self.is_connected():
-            return False
-        return not any(self.connected_without(e.vertices) for e in self._edges)
+        _at, _around, components, bridges = self._analysis()
+        return len(components) == 1 and len(bridges) == len(self._edges)
 
     # -- cuts -----------------------------------------------------------
 

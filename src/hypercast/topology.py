@@ -8,6 +8,7 @@ edge and are reported separately as leftovers.
 """
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .hypergraph import Hypergraph, _integer
@@ -19,7 +20,7 @@ class StorageTopology:
     """Immutable map from users 1..V to stored segment subsets of 1..W;
     every segment must be stored by some user."""
 
-    __slots__ = ("_num_segments", "_holdings", "_payload_length", "_holders")
+    __slots__ = ("_num_segments", "_holdings", "_payload_length", "_holders", "_model")
 
     def __init__(
         self,
@@ -58,6 +59,7 @@ class StorageTopology:
             for w in segs:
                 holders[w].add(v)
         self._holders = {w: frozenset(vs) for w, vs in holders.items()}
+        self._model = None
 
     @property
     def num_users(self) -> int:
@@ -97,26 +99,28 @@ class StorageTopology:
     # -- hypergraph model -----------------------------------------------
 
     def to_hypergraph(self):
-        """(model hypergraph, placement, leftovers).
+        """(model hypergraph, placement, leftovers), built on the first call;
+        every later call returns the same three objects.
 
         placement maps each edge's vertex set to its sorted segment ids;
         leftovers maps segments with holder count 1 or V (unmodelable)
-        to their holder sets.
+        to their holder sets.  Both mappings are read-only.
         """
-        V = self.num_users
-        groups: dict[frozenset[int], list[int]] = {}
-        leftovers: dict[int, frozenset[int]] = {}
-        for w in range(1, self._num_segments + 1):
-            hs = self._holders[w]
-            if len(hs) == 1 or len(hs) == V:
-                leftovers[w] = hs
-            else:
-                groups.setdefault(hs, []).append(w)
-        placement = {
-            hs: tuple(sorted(ws)) for hs, ws in groups.items()
-        }
-        h = Hypergraph(self.users, [(hs, len(ws)) for hs, ws in placement.items()])
-        return h, placement, leftovers
+        if self._model is None:
+            V = self.num_users
+            groups: dict[frozenset[int], list[int]] = {}
+            leftovers: dict[int, frozenset[int]] = {}
+            for w in range(1, self._num_segments + 1):
+                hs = self._holders[w]
+                if len(hs) == 1 or len(hs) == V:
+                    leftovers[w] = hs
+                else:
+                    groups.setdefault(hs, []).append(w)
+            # holder sets of 2..V-1 users among 1..V, each of at least one segment
+            h = Hypergraph._checked(frozenset(self.users), {hs: len(ws) for hs, ws in groups.items()})
+            placement = {hs: tuple(ws) for hs, ws in groups.items()}  # ws ascend with w
+            self._model = h, MappingProxyType(placement), MappingProxyType(leftovers)
+        return self._model
 
     # -- misc ------------------------------------------------------------
 
@@ -131,6 +135,10 @@ class StorageTopology:
 
     def __hash__(self) -> int:
         return hash((self._num_segments, self._holdings, self._payload_length))
+
+    def __reduce__(self):
+        # rebuilt from its arguments: the kept model's read-only mappings do not pickle
+        return StorageTopology, (self._num_segments, dict(enumerate(self._holdings, 1)), self._payload_length)
 
     def __repr__(self) -> str:
         return (

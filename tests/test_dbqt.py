@@ -1,6 +1,7 @@
 """Planner tests for the quasi-tree coded broadcast schedule."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from hypercast.dbqt import (
     vandermonde,
 )
 from hypercast.field import P
+from hypercast.formats import dumps_document, plan_document
+from hypercast.generators import random_instance
 from hypercast.general import spanning_quasi_tree
 from hypercast.sim import run_schedule
 from conftest import generated_model
@@ -76,7 +79,8 @@ def test_representative_prefixes_stay_connected():
 
 def scanned_representatives(h):
     """The ordering as first written, kept as the oracle: each later pick
-    rescans every vertex against every covered edge for eligibility."""
+    rescans every covered edge for the vertices they reach, and compares
+    every pair of eligible candidates."""
     incident = {v: frozenset(e.vertices for e in h.incident(v)) for v in h.vertices}
 
     def pick(cands):
@@ -85,9 +89,10 @@ def scanned_representatives(h):
     order = [pick(sorted(h.vertices))]
     covered = set(incident[order[0]])
     while covered != h.edge_sets:
+        reached = set().union(*covered)
         order.append(pick([
             v for v in sorted(h.vertices)
-            if v not in order and any(v in eset for eset in covered) and not incident[v] <= covered
+            if v not in order and v in reached and not incident[v] <= covered
         ]))
         covered |= incident[order[-1]]
     return tuple(order)
@@ -96,10 +101,25 @@ def scanned_representatives(h):
 @settings(max_examples=60, deadline=None)
 @given(users=st.integers(3, 40), max_size=st.integers(2, 4), seed=st.integers(0, 2**16))
 def test_property_representatives_match_the_covered_edge_scan(users, max_size, seed):
-    """On random quasi-trees the ordering with its set of reached vertices
+    """On random quasi-trees the ordering with its frontier of reached vertices
     picks exactly what the scan of every covered edge picks."""
     _topo, h, _placement = generated_model(users, 2 * users, 0, min(max_size, users - 1), seed)
     assert ordered_representatives(h) == scanned_representatives(h)
+
+
+@pytest.mark.parametrize("users", [60, 150, 300])
+@pytest.mark.parametrize("max_size", [2, 3, 5])
+def test_representatives_match_the_pairwise_picks(users, max_size):
+    """Generated quasi-trees up to a few hundred users, and the spanning
+    reductions of cyclic instances, pick as the scan with every pairwise
+    comparison does, though `pick` tests containment only within each
+    candidate's smallest edge."""
+    for seed in (1, 2):
+        _topo, h, _placement = generated_model(users, 3 * users, 0, max_size, seed)
+        assert ordered_representatives(h) == scanned_representatives(h)
+        _topo, h, _placement = generated_model(users, 3 * users, 3, max_size, seed)
+        kept = spanning_quasi_tree(h).kept
+        assert ordered_representatives(kept) == scanned_representatives(kept)
 
 
 # -- coding matrices ----------------------------------------------------
@@ -318,3 +338,13 @@ def test_dbqt_schedule_any_vertex_order(tree_topology):
         plan = dbqt_schedule(topo)
         assert plan.num_broadcasts == 3
         assert run_schedule(topo, list(plan.schedule)).complete
+
+
+def test_plan_at_a_thousand_users_is_pinned():
+    """The canonical plan document, less its schedule, of a quasi-tree of
+    1000 users and 2048 segments, as the pairwise picks and the per-edge
+    union-find planned it."""
+    doc = plan_document(dbqt_schedule(random_instance(1000, 2048, 0, 3, 1)))
+    del doc["schedule"]
+    assert hashlib.sha256(dumps_document(doc).encode()).hexdigest() == (
+        "10e72892e662274d59662f302f3bf35f266334546d6a78571ce48fa1d340f3a0")

@@ -2,6 +2,7 @@
 sweep, and the experiment harness."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from hypercast.general import (
     run_experiment,
     spanning_quasi_tree,
 )
-from hypercast.dbqt import dbqt_schedule
+from hypercast.dbqt import QuasiTreePlan, dbqt_schedule, plan_phases
+from hypercast.formats import dumps_document, plan_document
 from hypercast.sim import naive_schedule, run_schedule
 from hypercast.generators import random_instance
 
@@ -272,3 +274,18 @@ def test_experiment_rows_and_determinism():
         assert row.min_broadcasts <= row.mean_broadcasts <= row.max_broadcasts
         assert row.mean_lower_bound <= row.mean_broadcasts
     assert run_experiment(config) == rows
+
+
+def test_reduction_at_a_thousand_users_is_pinned():
+    """The removed edges and the phases planned on the reduction of a
+    quasi-tree of 1000 users plus 2 redundant edges, as canonical
+    documents, as the per-edge union-find reduced it."""
+    topo = random_instance(1000, 2048, 2, 3, 1)
+    red = spanning_quasi_tree(topo.to_hypergraph()[0])
+    phases = plan_document(QuasiTreePlan(0, plan_phases(topo, red.kept), ()))["phases"]
+    digests = [hashlib.sha256(dumps_document(doc).encode()).hexdigest()
+               for doc in ([list(e.key) for e in red.removed], phases)]
+    assert digests == [
+        "2a33cdaa306fb3f9f6b71330336896da3d36ac659c0a133d87d0785f58e4524d",
+        "d9deb3aca93390023aed7ff8379c87c68c9385a7fbf88b817545a530a67bcfdc",
+    ]

@@ -46,6 +46,33 @@ def bfs_components(h: Hypergraph) -> list[frozenset[int]]:
     return out
 
 
+def union_find(h: Hypergraph, skip: frozenset[int] | None = None) -> list[frozenset[int]]:
+    """Components by union-find over every edge except the one on `skip`,
+    one pass per call: the structure layer as first written, kept as the
+    oracle of the DFS that finds components and bridges at once."""
+    parent = {v: v for v in h.vertices}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in h.edges:
+        if e.vertices == skip:
+            continue
+        it = iter(e.vertices)
+        first = find(next(it))
+        for v in it:
+            root = find(v)
+            if root != first:
+                parent[root] = first
+    groups: dict[int, set[int]] = {}
+    for v in h.vertices:
+        groups.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
 def random_hypergraph(rng: random.Random, num_vertices: int, num_edges: int) -> Hypergraph:
     vs = range(1, num_vertices + 1)
     edges = []
@@ -317,14 +344,33 @@ def test_min_cut_vertex_limit():
 
 
 @st.composite
-def small_hypergraphs(draw):
+def small_hypergraphs(draw, min_vertices: int = 2):
     """Up to 9 vertices, edges of any size 2..V with weights 1..5; repeated
     vertex sets (merged by the constructor) and disconnected graphs occur."""
-    V = draw(st.integers(2, 9))
+    V = draw(st.integers(min_vertices, 9))
+    if V == 1:
+        return Hypergraph([1])
     edge = st.tuples(
         st.frozensets(st.integers(1, V), min_size=2, max_size=V), st.integers(1, 5)
     )
     return Hypergraph(range(1, V + 1), draw(st.lists(edge, max_size=12)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(h=small_hypergraphs(min_vertices=1))
+def test_property_structure_matches_union_find(h):
+    """Components, connectivity, each edge's removal and the quasi-tree
+    test all agree with one union-find pass per question."""
+    parts = union_find(h)
+    assert list(h.components()) == parts
+    assert h.is_connected() == (len(parts) == 1)
+    stays = [len(union_find(h, e.vertices)) == 1 for e in h.edges]
+    assert [h.connected_without(e.vertices) for e in h.edges] == stays
+    assert h.is_quasi_tree() == (len(parts) == 1 and not any(stays))
+    for v in h.vertices:
+        assert h.incident(v) == tuple(e for e in h.edges if v in e.vertices)
+    for e in h.edges:  # a derived graph finds its own structure
+        assert list(h.without_edge(e.vertices).components()) == union_find(h, e.vertices)
 
 
 @settings(max_examples=300, deadline=None)

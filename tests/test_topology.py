@@ -2,7 +2,9 @@
 model round trip."""
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,19 @@ def test_to_hypergraph_leftovers():
     assert leftovers == {1: frozenset({1}), 2: frozenset({1, 2, 3})}
     assert h.edge_sets == frozenset({frozenset({1, 2})})
     assert placement == {frozenset({1, 2}): (3,)}
+
+
+def test_to_hypergraph_builds_one_read_only_model(cyclic_topology):
+    first = cyclic_topology.to_hypergraph()
+    second = cyclic_topology.to_hypergraph()
+    assert all(a is b for a, b in zip(first, second))
+    _h, placement, leftovers = first
+    with pytest.raises(TypeError):
+        placement[frozenset({1, 2})] = (9,)
+    with pytest.raises(TypeError):
+        leftovers[1] = frozenset({1})
+    for copy in (pickle.loads(pickle.dumps(cyclic_topology)), deepcopy(cyclic_topology)):
+        assert copy == cyclic_topology and copy.to_hypergraph()[0] == first[0]
 
 
 def test_to_hypergraph_rejects_uncovered_segment():

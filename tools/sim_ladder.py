@@ -38,7 +38,7 @@ POINTS = (
     (12, 64, 0, False), (20, 128, 0, False), (30, 256, 0, False), (40, 512, 0, False),
     (60, 1024, 0, False), (250, 1000, 0, False), (12, 64, 0, True), (40, 512, 0, True),
     (12, 64, 2, False), (12, 64, 2, True), (18, 32, 2, False), (12, 1024, 0, False),
-    (60, 1024, 2, True),
+    (60, 1024, 2, True), (12, 2048, 0, True),
 )
 REPEAT = 3
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
