@@ -148,6 +148,7 @@ def plan_phases(topology: StorageTopology, tree: Hypergraph) -> tuple[PhasePlan,
     if not tree.edges:
         raise PlanError("cannot plan phases without edges")
     delta = min(e.weight for e in tree.edges)
+    _model, placement, _leftovers = topology.to_hypergraph()  # each edge's segments, ascending
     phases: list[PhasePlan] = []
     prior: set[int] = set()
     prev_union: set[int] = set()
@@ -156,7 +157,7 @@ def plan_phases(topology: StorageTopology, tree: Hypergraph) -> tuple[PhasePlan,
         bridge, seed = None, ()
         if prior:
             bridge = next(e.vertices for e in tree.incident(v) if e.vertices & prior)
-            seed = tuple(sorted(w for w in holding if topology.holders_of(w) == bridge)[:delta])
+            seed = placement[bridge][:delta]
         block = tuple(sorted((holding - prev_union).union(seed)))
         phases.append(PhasePlan(v, bridge, seed, block, len(block) - delta))
         prior.add(v)

@@ -3,9 +3,10 @@
 All vectors and matrices hold plain integers in [0, P).  Dense arithmetic
 uses int64 numpy arrays; a single product of two reduced values stays
 below 2**62, so every elementary step fits in int64 before the modular
-reduce; matrix products (combine_mod) go through exact float64 BLAS
-products on limbs of the coefficients, as wide as the inner dimension
-allows.  UserBases keeps every user's sparse basis rows in flat int64
+reduce, and the slot loop lets three such updates pile up in unsigned
+64-bit words before one; matrix products (combine_mod) go through exact
+float64 BLAS products on limbs of the coefficients, as wide as the inner
+dimension allows.  UserBases keeps every user's sparse basis rows in flat int64
 arrays, and takes in a piece of broadcasts, of one sender or several,
 with one grouped sum and one small dense elimination per slot for every
 class of users whose residuals agree, payloads and checks included; the
@@ -300,15 +301,9 @@ class UserBases:
         u's class, `at` gives each entry's column in the block (the zero
         one for columns beyond) and ``senders[j]`` slot j's sender.
 
-        At the first slot of each sender's run, the sender's class must have no
-        residual left in the run: Refused names the first slot, counted from
-        the piece's first, where it has, and the bases are left as they were.
-        At each slot a class's residual, by then reduced by every new row before
-        it, becomes each of its users' new row if it is nonzero, pivoted at its
-        smallest coordinate, and is substituted into the class's other rows with
-        an entry there.  A later residual's entry cancels against the pivot's 1;
-        an earlier new row i keeps its entry a_j[i], the multiple of slot j's
-        new row that it took.
+        `_slots` takes the residuals in, checks the senders and makes each
+        class's new rows; Refused names the first refused slot, counted from
+        the piece's first, and the bases are left as they were.
 
         The rows held from before the piece never feed a residual, so they
         take the class's final new rows once, after the last slot: a row with
@@ -323,46 +318,7 @@ class UserBases:
         shift = self.shift
         k, C, width = *block.shape[:2], cols.size + 1
         paid = self.payloads is not None
-        everyone = np.arange(C)
-        pivot = np.full((k, C), width - 1)  # each new row's column; the last for none
-        # the block is updated a few slots at a time, so that the update's
-        # temporaries stay within _STEP_VALUES
-        step = max(1, _STEP_VALUES // block[0].size)
-        spans = [slice(lo, lo + step) for lo in range(0, k, step)]
-        # each run's first slot, with the run's end and its sender's class
-        firsts = [j for j in range(k) if not j or senders[j] != senders[j - 1]]
-        runs = {j: (end, cls[senders[j]]) for j, end in zip(firsts, firsts[1:] + [k])}
-        for j in range(k):
-            if j in runs:
-                # the sender gains no row in its run, so its residuals, zero
-                # iff it spans each slot and forms its image, are checked at once
-                end, c = runs[j]
-                if block[j:end, c].any():
-                    i = j + int(block[j:end, c].any(axis=1).argmax())
-                    raise Refused(i, not block[i, c, :width].any())
-            residual = block[j]  # reduced by every new row before it
-            nonzero = residual[:, :width] != 0
-            nonzero[:, -1] = True
-            q = nonzero.argmax(axis=1)  # the smallest residual coordinate
-            gains = (q < width - 1).nonzero()[0]
-            if not gains.size:
-                continue
-            pivot[j] = q
-            inv = np.zeros(C, dtype=np.int64)
-            inv[gains] = [pow(x, -1, P) for x in residual[gains, q[gains]].tolist()]
-            new = residual * inv[:, None] % P  # 1 at its pivot, 0 without a gain
-            new[everyone, q] = 0  # a row holds no entry at its pivot
-            # a hit row, one with an entry at its class's new pivot, takes
-            # that entry's multiple of the new row
-            a = block[:, everyone, q]
-            a[j] = 0
-            if a.any():
-                for span in spans:
-                    part = block[span]
-                    part += (P - a[span])[:, :, None] * new  # below 2**62 + 2**31
-                    _reduce(part)
-                block[j + 1:, everyone, q] = 0  # the later residuals' entries cancel
-            block[j] = new
+        pivot = _slots(block, width, cls, senders)
         made = pivot < width - 1
         slot_at = np.full((C, width), -1)  # the slot of each class's new row pivoted there
         slot_at[made.nonzero()[1], pivot[made]] = made.nonzero()[0]
@@ -484,9 +440,101 @@ def _classes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cls, order[starts]
 
 
-def _reduce(x: np.ndarray):
-    """x mod P in place, for int64 x in [0, 2**63): a division by a
-    constant unsigned integer is quicker in numpy than %."""
-    q = x.view(np.uint64) // _P
+def _slots(block: np.ndarray, width: int, cls: np.ndarray, senders) -> np.ndarray:
+    """The slot loop of `UserBases._eliminate`, in place on `block` (k x C
+    x (width + L) ints in [0, P)): returns each slot's new row's column for
+    each class, width - 1 for none.
+
+    At the first slot of each sender's run, the sender's class must have no
+    residual left in the run: Refused names the first slot where it has.
+    At each slot a class's residual, by then reduced by every new row before
+    it, becomes each of its users' new row if it is nonzero, pivoted at its
+    smallest coordinate, and is substituted into the class's other rows with
+    an entry there.  A later residual's entry cancels against the pivot's 1;
+    an earlier new row i keeps its entry a_j[i], the multiple of slot j's
+    new row that it took.
+
+    The updates add into the block's unsigned words: a product of a value
+    below P and P - a, at most P, stays below 2**62, and three of them and
+    a residue stay below 2**64, so the block is reduced after every third
+    update and after the last, and a slot reduces what it reads first.
+    Flat indices into each slot's C x (width + L) values reach every
+    class's entry at its new pivot.
+    """
+    k, C = block.shape[:2]
+    pivot = np.full((k, C), width - 1)
+    values = block.view(np.uint64)
+    flat = values.reshape(k, -1)
+    base = np.arange(C) * block.shape[2]
+    # the block is updated a few slots at a time, so that the update's
+    # scratch stays within _STEP_VALUES
+    step = max(1, _STEP_VALUES // block[0].size)
+    spans = [slice(lo, lo + step) for lo in range(0, k, step)]
+    scratch, pending = None, 0  # pending: the updates since the last reduction
+
+    def settle():
+        for span in spans:
+            part = values[span]
+            _reduce(part, scratch[:len(part)])
+    # each run's first slot, with the run's end and its sender's class
+    firsts = [j for j in range(k) if not j or senders[j] != senders[j - 1]]
+    runs = {j: (end, cls[senders[j]]) for j, end in zip(firsts, firsts[1:] + [k])}
+    for j in range(k):
+        if j in runs:
+            # the sender gains no row in its run, so its residuals, zero
+            # iff it spans each slot and forms its image, are checked at once
+            end, c = runs[j]
+            sent = values[j:end, c]
+            if pending:
+                _reduce(sent)
+            if sent.any():
+                i = int(sent.any(axis=1).argmax())
+                raise Refused(j + i, not sent[i, :width].any())
+        residual = values[j]  # reduced by every new row before it
+        if pending:
+            _reduce(residual)
+        nonzero = residual[:, :width] != 0
+        nonzero[:, -1] = True
+        q = nonzero.argmax(axis=1)  # the smallest residual coordinate
+        pivot[j] = q
+        q += base
+        lead = residual.take(q).tolist()  # each class's pivot value, 0 without a gain
+        if not any(lead):
+            continue
+        inv = np.array([pow(x, -1, P) if x else 0 for x in lead], dtype=np.uint64)
+        new = residual * inv[:, None] % _P  # 1 at its pivot, 0 without a gain
+        new.put(q, 0)  # a row holds no entry at its pivot
+        # a hit row, one with an entry at its class's new pivot, takes
+        # that entry's multiple of the new row
+        a = flat.take(q, axis=1)
+        a[j] = 0
+        if pending:
+            _reduce(a)
+        if a.any():
+            if scratch is None:
+                scratch = np.empty((min(step, k), *block.shape[1:]), dtype=np.uint64)
+            np.subtract(_P, a, out=a)
+            for span in spans:
+                part = values[span]
+                product = scratch[:len(part)]
+                np.multiply(a[span, :, None], new, out=product)
+                part += product
+            flat[j + 1:, q] = 0  # the later residuals' entries cancel
+            pending += 1
+        values[j] = new
+        if pending == 3:
+            settle()
+            pending = 0
+    if pending:
+        settle()
+    return pivot
+
+
+def _reduce(x: np.ndarray, scratch: np.ndarray | None = None):
+    """x mod P in place, for int64 x in [0, 2**63) or any uint64 x: a
+    division by a constant unsigned integer is quicker in numpy than %.
+    The quotients go in `scratch`, a uint64 array of x's shape, if given."""
+    x = x.view(np.uint64)
+    q = np.floor_divide(x, _P, out=scratch)
     q *= _P
-    x -= q.view(np.int64)
+    x -= q

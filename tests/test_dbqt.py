@@ -244,7 +244,10 @@ def test_property_bridges_seeds_and_blocks():
             assert ph.bridge in tree.edge_sets
             assert ph.representative in ph.bridge and ph.bridge & earlier
             assert len(ph.seed_segments) == delta
-            assert all(topo.holders_of(w) == ph.bridge for w in ph.seed_segments)
+            # the delta lowest segments held by exactly the bridge, by a scan
+            # of the representative's holding
+            scan = sorted(w for w in topo.holding(ph.representative) if topo.holders_of(w) == ph.bridge)
+            assert ph.seed_segments == tuple(scan[:delta])
             earlier.add(ph.representative)
         for ph in phases:
             assert set(ph.block) <= topo.holding(ph.representative)

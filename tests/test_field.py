@@ -6,7 +6,10 @@ integer matrix.  Rational rank can only exceed the mod-P rank when P
 divides a pivot minor, which the seeded cases here never hit.  The
 vectorized rank_mod is also compared with the row-by-row elimination it
 replaced, and the dict basis that serves the simulator tests as an
-oracle (basis_oracle.ColumnBasis) is checked against rank_mod.
+oracle (basis_oracle.ColumnBasis) is checked against rank_mod.  The
+slot loop of UserBases, which lets updates pile up in unsigned 64-bit
+words, is compared with the loop it replaced, which reduced the whole
+block after every slot.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basis_oracle import ColumnBasis
 from hypercast import (
@@ -77,6 +80,47 @@ def rank_by_row_loop(matrix) -> int:
         if r == rows:
             break
     return r
+
+
+def slots_by_full_reduction(block, width, cls, senders):
+    """Reference slot loop: the one `field._slots` replaced, which reduced
+    every span of the int64 block after each slot's update and gathered
+    each class's entries at its new pivot by fancy indexing."""
+    k, C = block.shape[:2]
+    everyone = np.arange(C)
+    pivot = np.full((k, C), width - 1)
+    step = max(1, field._STEP_VALUES // block[0].size)
+    spans = [slice(lo, lo + step) for lo in range(0, k, step)]
+    firsts = [j for j in range(k) if not j or senders[j] != senders[j - 1]]
+    runs = {j: (end, cls[senders[j]]) for j, end in zip(firsts, firsts[1:] + [k])}
+    for j in range(k):
+        if j in runs:
+            end, c = runs[j]
+            if block[j:end, c].any():
+                i = j + int(block[j:end, c].any(axis=1).argmax())
+                raise field.Refused(i, not block[i, c, :width].any())
+        residual = block[j]
+        nonzero = residual[:, :width] != 0
+        nonzero[:, -1] = True
+        q = nonzero.argmax(axis=1)
+        gains = (q < width - 1).nonzero()[0]
+        if not gains.size:
+            continue
+        pivot[j] = q
+        inv = np.zeros(C, dtype=np.int64)
+        inv[gains] = [pow(x, -1, P) for x in residual[gains, q[gains]].tolist()]
+        new = residual * inv[:, None] % P
+        new[everyone, q] = 0
+        a = block[:, everyone, q]
+        a[j] = 0
+        if a.any():
+            for span in spans:
+                part = block[span]
+                part += (P - a[span])[:, :, None] * new
+                field._reduce(part)
+            block[j + 1:, everyone, q] = 0
+        block[j] = new
+    return pivot
 
 
 def test_prime_constant():
@@ -181,6 +225,79 @@ def test_classes_join_exactly_the_equal_residuals(picks, shape, step):
     for u, p in enumerate(picks):
         assert first[cls[u]] == picks.index(p)
         assert [cls[v] == cls[u] for v in range(len(picks))] == [q == p for q in picks]
+
+
+def slot_piece(seed, k, C, width, L, runs, density):
+    """A piece for the slot loop: k slots of residuals for C classes over
+    width - 1 columns, the zero column and L payload values, drawn as many
+    zeros and values near P - 1 and 1.  The senders come in `runs` runs of
+    users of one class each, whose class has no residual left in its run
+    unless a run refuses at its first slot, in its coefficients or only
+    in its payload."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([1, 2, P - 1, P - 2, P - 3])
+    block = np.where(rng.random((k, C, width + L)) < density,
+                     np.where(rng.random((k, C, width + L)) < 0.7, pool[rng.integers(0, 5, (k, C, width + L))],
+                              rng.integers(0, P, (k, C, width + L))), 0)
+    block[:, :, width - 1] = 0
+    cls = np.concatenate((np.arange(C), rng.integers(0, C, C)))  # users 0..2C-1
+    cuts = sorted(set(rng.integers(1, k, runs - 1).tolist())) if k > 1 and runs > 1 else []
+    senders = []
+    for lo, end in zip([0] + cuts, cuts + [k]):
+        user = int(rng.integers(0, 2 * C))
+        senders += [user] * (end - lo)
+        block[lo:end, cls[user]] = 0
+        refusal = rng.random()
+        if refusal < 0.1:
+            block[lo, cls[user], rng.integers(0, width)] = P - 1
+            block[lo, cls[user], width - 1] = 0
+        elif refusal < 0.2 and L:
+            block[lo, cls[user], width + rng.integers(0, L)] = 1
+    return block, cls, senders
+
+
+def outcome(slots, block, width, cls, senders):
+    """The block and pivots that a slot loop leaves, or its refusal."""
+    try:
+        pivot = slots(block, width, cls, senders)
+    except field.Refused as refusal:
+        return ("refused", refusal.slot, refusal.payload)
+    return block.tolist(), pivot.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), C=st.integers(1, 8),
+       width=st.integers(1, 40), L=st.integers(0, 5), runs=st.integers(1, 4),
+       density=st.sampled_from([0.05, 0.3, 0.9]), span_rows=st.sampled_from([1, 2, 3, 5, None]))
+@example(seed=0, k=6, C=3, width=1, L=0, runs=1, density=0.9, span_rows=None)
+@example(seed=1, k=9, C=4, width=1, L=3, runs=3, density=0.9, span_rows=1)
+def test_property_slot_loop_matches_full_reduction(seed, k, C, width, L, runs, density, span_rows):
+    """`field._slots`, whose updates pile up in unsigned words, leaves the
+    same block and pivots as the loop that reduced after every slot, or
+    refuses the same slot for the same reason, also when a piece takes
+    several spans of slots and when it has no columns at all (width 1)."""
+    block, cls, senders = slot_piece(seed, k, C, width, L, runs, density)
+    with pytest.MonkeyPatch.context() as mp:
+        if span_rows:
+            mp.setattr(field, "_STEP_VALUES", span_rows * C * (width + L))
+        expected = outcome(slots_by_full_reduction, block.copy(), width, cls, senders)
+        assert outcome(field._slots, block.copy(), width, cls, senders) == expected
+
+
+def test_slot_loop_holds_updates_at_their_largest():
+    """Slots whose new rows hold P - 1 beside their pivot's 1, into rows
+    whose entries at those pivots are 0 (so each takes P times the new
+    row) or 1: every entry takes the largest products there are, and the
+    loop still leaves what reducing after every slot does."""
+    k, width = 24, 26
+    block = np.zeros((k, 2, width), dtype=np.int64)
+    for j in range(k):
+        block[j, 1, j] = 1
+        block[j, 1, k:width - 1] = P - 1
+        block[j, 1, j + 1:k] = (j + np.arange(j + 1, k)) % 2
+    senders, cls = [0] * k, np.array([0, 1])
+    expected = outcome(slots_by_full_reduction, block.copy(), width, cls, senders)
+    assert outcome(field._slots, block.copy(), width, cls, senders) == expected
 
 
 def test_rank_known_constructions():
