@@ -145,9 +145,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     for V, W, _trial, topology in iter_experiment_instances(config):
         transcript = run_schedule(topology, dbqt_general(topology), completion=True)
         h, _placement, _leftovers = topology.to_hypergraph()
-        cut = h.min_cut().capacity if V >= 2 else 0
         buckets.setdefault((V, W), []).append(
-            (transcript.num_broadcasts, h.total_weight - cut)
+            (transcript.num_broadcasts, h.total_weight - h.min_cut().capacity)
         )
     rows = []
     for V in config.users_list:

@@ -288,17 +288,17 @@ class Hypergraph:
         s added before it, and its weight is t's tie when it is added.
         Merging t into s keeps every cut that does not split them, so the
         lightest phase cut is a minimum cut; its witness is the original
-        vertices merged into t.  O(V * p log p) for p = sum of edge sizes.
+        vertices merged into t.  A merge edits t's edges in place to hold s;
+        the parallel and one-member edges this leaves change no tie, as a
+        phase touches each edge once.  O(V * p log p) for p = sum of |e|.
         """
         start = min(self._vertices)
         members = {v: frozenset((v,)) for v in sorted(self._vertices)}
-        edges = [(e.vertices, e.weight) for e in self._edges]
+        edges = [(set(e.vertices), e.weight) for e in self._edges]
+        at, around, _components, _bridges = self._analysis()  # edge i is node len(at) + i
+        incident = {v: [j - len(at) for j in around[at[v]]] for v in members}
         best: MinCut | None = None
         while len(members) > 1:
-            incident: dict[int, list[int]] = {v: [] for v in members}
-            for i, (eset, _w) in enumerate(edges):
-                for v in eset:
-                    incident[v].append(i)
             tie = dict.fromkeys(members, 0)
             touched = [False] * len(edges)
             heap = [(0, start)]
@@ -321,13 +321,12 @@ class Hypergraph:
             if best is None or cut < best.capacity:
                 best = MinCut(cut, members[t])
             members[s] |= members.pop(t)
-            merged: dict[frozenset[int], int] = {}
-            for eset, w in edges:
-                if t in eset:
-                    eset = (eset - {t}) | {s}
-                if len(eset) > 1:
-                    merged[eset] = merged.get(eset, 0) + w
-            edges = list(merged.items())
+            for i in incident.pop(t):
+                eset = edges[i][0]
+                eset.discard(t)
+                if s not in eset:
+                    eset.add(s)
+                    incident[s].append(i)
         assert best is not None
         return best
 

@@ -402,6 +402,17 @@ def test_repeated_segment_id_exits_2(capsys, tmp_path):
     segment = doc["users"][1]["segments"][0]
     assert code == 2 and out == ""
     assert f"user {doc['users'][1]['id']} lists segment {segment} twice" in err
+    # and the user entries malformed in other ways
+    for entry, message in [
+        ([2, [2]], "malformed user entry: [2, [2]]"),
+        ({"id": 2}, "malformed user entry: {'id': 2}"),
+        ({"id": 2, "segments": {"2": True}}, "user 2: segments must be a list"),
+    ]:
+        doc = json.loads((FIXTURES / "tree-instance.json").read_text())
+        doc["users"][1] = entry
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+        assert code == 2 and out == "" and message in err
 
 
 def write_doc(tmp_path, num_users, num_segments, holdings):
@@ -621,6 +632,20 @@ def test_run_dbqt_on_zero_segments_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--in", str(path), "--strategy", "dbqt")
     assert code == 2 and out == ""
     assert "cannot plan phases without edges" in err
+
+
+def test_run_refuses_a_schedule_that_leaves_a_user_short(capsys, monkeypatch):
+    def short(topology):
+        # drop the broadcast of segment 1, which users 1 and 4 store and
+        # the others do not
+        return hypercast.sim.naive_schedule(topology)[1:]
+
+    monkeypatch.setattr(hypercast.cli, "naive_schedule", short)
+    code, out, err = run_cli(
+        capsys, "run", "--in", str(FIXTURES / "tree-instance.json"), "--strategy", "naive"
+    )
+    assert code == 2 and out == ""
+    assert "schedule did not complete decoding for every user" in err
 
 
 def test_run_dbqt_on_tree_fixture(capsys, tmp_path):

@@ -164,6 +164,18 @@ def test_store_refuses_a_matrix_that_does_not_hold_integers(dtype):
         SegmentStore(topo, matrix)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([1, 0, 1, 0], "one column per segment"),  # one dimension
+    ([[1, 0], [0, 1], [0, 0], [0, 0]], "one column per segment"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "payload length 3 must exceed 3"),
+    ([[1, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0]], "payload columns must be linearly independent"),
+])
+def test_store_refuses_a_matrix_of_the_wrong_shape_or_rank(rows, message):
+    topo = StorageTopology(3, {1: {1, 2, 3}, 2: {1}})
+    with pytest.raises(ValueError, match=message):
+        SegmentStore(topo, np.array(rows))
+
+
 def test_combine_sparse_matches_dense():
     rng = random.Random(7)
     store = materialize_payloads(StorageTopology(4, {1: {1, 2}, 2: {3, 4}}), seed=7)

@@ -1021,6 +1021,28 @@ def test_materialize_payloads_deterministic(tree_topology):
     assert rank_mod(a.matrix) == tree_topology.num_segments
 
 
+def test_materialize_payloads_redraws_dependent_columns(monkeypatch, tree_topology):
+    draw = hypercast.sim._draw_residues
+    W, L = tree_topology.num_segments, tree_topology.store_length
+    calls = []
+
+    def dependent_first(rng, n):
+        calls.append(n)
+        return np.ones(n, dtype=np.int64) if len(calls) == 1 else draw(rng, n)
+
+    monkeypatch.setattr(hypercast.sim, "_draw_residues", dependent_first)
+    store = materialize_payloads(tree_topology, seed=5)
+    assert calls == [L * W, L * W] and rank_mod(store.matrix) == W
+    # a generator that only ever draws dependent columns gives up after 16 draws
+    calls.clear()
+    monkeypatch.setattr(
+        hypercast.sim, "_draw_residues", lambda rng, n: calls.append(n) or np.ones(n, dtype=np.int64)
+    )
+    with pytest.raises(RuntimeError, match="failed to draw independent payload columns"):
+        materialize_payloads(tree_topology, seed=5)
+    assert len(calls) == 16
+
+
 class ScriptedWords(random.Random):
     """A generator whose 32-bit words come from a list, first to last."""
 

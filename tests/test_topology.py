@@ -27,6 +27,8 @@ def test_constructor_validation():
     topo = StorageTopology(2, {1: {1}, 2: {2}}, payload_length=5)
     assert topo.payload_length == 5
     assert StorageTopology(0, {1: ()}).num_segments == 0
+    with pytest.raises(ValueError, match="num_segments must be a non-negative integer, got -1"):
+        StorageTopology(-1, {1: ()})
 
 
 @pytest.mark.parametrize(
